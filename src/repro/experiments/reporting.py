@@ -24,11 +24,15 @@ def format_table(
     precision: int = 4,
     title: str | None = None,
 ) -> str:
-    """Render ``rows`` (list of dicts) as an aligned text table."""
+    """Render ``rows`` (list of dicts) as an aligned text table.
+
+    Without ``columns``, every key of any row is a column, in first-seen order;
+    a row lacking a column renders an empty cell.
+    """
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
     if columns is None:
-        columns = list(rows[0].keys())
+        columns = list(dict.fromkeys(key for row in rows for key in row))
     rendered = [
         [_format_value(row.get(column, ""), precision) for column in columns] for row in rows
     ]

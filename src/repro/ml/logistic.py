@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -13,13 +13,61 @@ from .base import Classifier
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically-stable logistic function: ``exp`` only ever sees ``-|z|``."""
+    exp_neg = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, exp_neg) / (1.0 + exp_neg)
+
+
+def _indicator_blocks(
+    features: np.ndarray,
+) -> Tuple[Union[slice, np.ndarray], List[Tuple[slice, np.ndarray]]]:
+    """Factor ``features`` into dense columns and one-hot indicator blocks.
+
+    A block is a run of at least two adjacent columns that hold only 0.0/1.0
+    with at most one 1 per row.  Runs are taken greedily from the left: a
+    block ends where the next column would put a second 1 in some row.  Each
+    block comes back as its column slice and one code per row, the offset of
+    the row's 1 within the block, or the block width (a sentinel) for a row
+    with no 1.  The dense columns come back as an index array, or as
+    ``slice(None)`` (a view of the whole matrix) when there is no block.
+    """
+    n_features = features.shape[1]
+    binary = np.all((features == 0.0) | (features == 1.0), axis=0)
+
+    def one_per_row(start: int, stop: int) -> bool:
+        return bool((features[:, start:stop] @ np.ones(stop - start)).max(initial=0.0) <= 1.0)
+
+    blocks: List[Tuple[slice, np.ndarray]] = []
+    start = 0
+    while start < n_features:
+        stop = start + 1
+        if binary[start]:
+            end = stop
+            while end < n_features and binary[end]:
+                end += 1
+            # The longest valid prefix of the run [start, end), by bisection:
+            # adding columns can only add 1s to a row.
+            if one_per_row(start, end):
+                stop = end
+            while end - stop > 1:
+                middle = (stop + end) // 2
+                if one_per_row(start, middle):
+                    stop = middle
+                else:
+                    end = middle
+        width = stop - start
+        if width >= 2:
+            positions = features[:, start:stop] @ np.arange(1.0, width + 1.0)
+            codes = positions.astype(np.intp) - 1
+            codes[codes < 0] = width
+            blocks.append((slice(start, stop), codes))
+        start = stop
+    if not blocks:
+        return slice(None), []
+    dense = np.ones(n_features, dtype=bool)
+    for span, _ in blocks:
+        dense[span] = False
+    return np.flatnonzero(dense), blocks
 
 
 @register_model(
@@ -41,7 +89,10 @@ class LogisticRegressionClassifier(Classifier):
     Training minimises the weighted negative log-likelihood with an L2 penalty
     on the weights (not on the intercept) using full-batch gradient descent
     with a simple adaptive step size.  The implementation is deterministic for
-    a fixed seed.
+    a fixed seed.  A one-hot block among the columns (see
+    :func:`_indicator_blocks`) enters each epoch as a gather and a
+    ``bincount`` over one code per row, so an epoch costs O(n·d) for ``d``
+    other columns, not O(n·(d+k)) for a block of width ``k``.
 
     Parameters
     ----------
@@ -91,12 +142,21 @@ class LogisticRegressionClassifier(Classifier):
         normalized_weight = sample_weight / sample_weight.sum()
         step = self._learning_rate
         previous_loss = np.inf
+        dense_columns, blocks = _indicator_blocks(features)
+        dense = features[:, dense_columns]
+        gradient_w = np.empty(n_features)
 
         for iteration in range(self._max_iter):
-            logits = features @ weights + intercept
+            logits = dense @ weights[dense_columns] + intercept
+            for span, codes in blocks:
+                logits += np.append(weights[span], 0.0)[codes]
             probabilities = _sigmoid(logits)
             error = (probabilities - labels) * normalized_weight
-            gradient_w = features.T @ error + self._regularization * weights / n_records
+            gradient_w[dense_columns] = dense.T @ error
+            for span, codes in blocks:
+                width = span.stop - span.start
+                gradient_w[span] = np.bincount(codes, error, minlength=width + 1)[:width]
+            gradient_w += self._regularization * weights / n_records
             gradient_b = float(error.sum())
 
             loss = self._loss(labels, probabilities, normalized_weight, weights)

@@ -25,6 +25,13 @@ class TestFormatTable:
         text = format_table(rows, columns=["a", "b"])
         assert text.count("\n") == 3
 
+    def test_ragged_rows_keep_every_column_in_first_seen_order(self):
+        rows = [{"mode": "idle", "best_ms": 1.5}, {"mode": "load", "p95_ms": 9.25, "best_ms": 2.0}]
+        lines = format_table(rows, precision=2).splitlines()
+        assert lines[0].split() == ["mode", "best_ms", "p95_ms"]
+        assert lines[2].split() == ["idle", "1.50"]
+        assert lines[3].split() == ["load", "2.00", "9.25"]
+
     def test_title_included(self):
         text = format_table([{"a": 1}], title="Figure 7")
         assert text.splitlines()[0] == "Figure 7"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TrainingError
-from repro.ml.logistic import LogisticRegressionClassifier
+from repro.ml.logistic import LogisticRegressionClassifier, _indicator_blocks, _sigmoid
 from repro.ml.metrics import accuracy_score
 from repro.ml.naive_bayes import GaussianNaiveBayesClassifier
 from repro.ml.tree import DecisionTreeClassifier
@@ -112,6 +112,54 @@ class TestLogisticRegression:
         labels = np.zeros(30, dtype=int)
         model = LogisticRegressionClassifier(max_iter=100).fit(features, labels)
         assert model.predict_proba(features).mean() < 0.3
+
+    def test_sigmoid_matches_masked_formula_bit_for_bit(self):
+        def masked_sigmoid(z):
+            out = np.empty_like(z, dtype=float)
+            positive = z >= 0
+            out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+            exp_z = np.exp(z[~positive])
+            out[~positive] = exp_z / (1.0 + exp_z)
+            return out
+
+        tiny = np.finfo(float).smallest_subnormal
+        z = np.concatenate(
+            [
+                np.linspace(-1e3, 1e3, 20_001),
+                np.random.default_rng(3).normal(scale=40.0, size=5_000),
+                [0.0, -0.0, tiny, -tiny, 1e3 * tiny, -1e3 * tiny, 1e-310, -1e-310],
+                [-745.2, -709.8, 36.8, 37.5, np.inf, -np.inf],
+            ]
+        )
+        assert np.array_equal(_sigmoid(z), masked_sigmoid(z))
+
+
+class TestIndicatorBlocks:
+    """The factoring rule behind the logistic fit's per-epoch cost."""
+
+    def test_one_hot_block_becomes_codes_with_a_sentinel(self):
+        rng = np.random.default_rng(0)
+        categories = np.array([2, 0, -1, 1, 2, -1])  # -1: the row has no category
+        one_hot = (categories[:, None] == np.arange(3)).astype(float)
+        features = np.hstack([rng.normal(size=(6, 2)), one_hot])
+        dense, blocks = _indicator_blocks(features)
+        assert list(dense) == [0, 1]
+        [(span, codes)] = blocks
+        assert (span.start, span.stop) == (2, 5)
+        assert codes.tolist() == [2, 0, 3, 1, 2, 3]
+
+    def test_single_indicator_column_stays_dense(self):
+        features = np.column_stack([np.linspace(-1.0, 1.0, 5), np.ones(5)])
+        dense, blocks = _indicator_blocks(features)
+        assert blocks == [] and dense == slice(None)
+
+    def test_column_sharing_a_row_with_the_block_starts_a_new_run(self):
+        block = np.eye(4)[[0, 1, 2, 3, 0]]
+        overlapping = np.array([[1.0], [0.0], [0.0], [0.0], [1.0]])
+        features = np.hstack([block, overlapping, np.full((5, 1), 0.5)])
+        dense, blocks = _indicator_blocks(features)
+        assert [(span.start, span.stop) for span, _ in blocks] == [(0, 4)]
+        assert list(dense) == [4, 5]
 
 
 class TestDecisionTree:
