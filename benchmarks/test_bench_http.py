@@ -317,8 +317,7 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
                     {
                         "mode": f"hot-swap load: {name}",
                         "points": len(small),
-                        "best_ms": sample[len(sample) // 2] * 1000.0,
-                        "mlookups_s": 0.0,
+                        "p50_ms": sample[len(sample) // 2] * 1000.0,
                         "p95_ms": sample[int(len(sample) * 0.95) - 1] * 1000.0,
                     }
                 )

@@ -232,10 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=BACKENDS.names(),
-        help="point-location backend servers are built with (dense: label-grid "
-        "fancy indexing, the default; sparse: memory-lean row-band interval "
-        "index); when omitted, manifest-backed verbs keep the backend the "
-        "manifest was saved with",
+        help="point-location backend servers are built with (dense: one take "
+        "from the flat label grid, the default; sparse: memory-lean row-band "
+        "interval index); when omitted, manifest-backed verbs keep the "
+        "backend the manifest was saved with",
     )
     serving.add_argument(
         "--shards",

@@ -380,8 +380,9 @@ def register_backend(
 
     A backend is a class whose constructor takes one
     :class:`~repro.spatial.partition.Partition` and whose instances answer
-    vectorised ``locate_cells(rows, cols)`` queries for in-grid cell
-    coordinates (``-1`` for uncovered cells of incomplete partitions); see
+    vectorised ``locate_ids(ids)`` queries for row-major cell ids (``-1``
+    for the off-map id ``-1`` and for uncovered cells of incomplete
+    partitions); see
     :class:`repro.serving.backends.LocatorBackend`.  Registered names are
     the values :class:`~repro.config.ServingConfig.backend` and the CLI's
     ``--backend`` flag accept.

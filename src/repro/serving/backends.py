@@ -2,14 +2,15 @@
 
 A backend turns a built :class:`~repro.spatial.partition.Partition` into an
 index structure answering one question, fully vectorised: *which region
-covers each of these grid cells?*  Two implementations are registered in
+covers each of these grid cells?* -- asked by the cell ids of
+:meth:`~repro.spatial.grid.Grid.cell_ids` (``-1`` off the map answers
+``-1``).  Two implementations are registered in
 :data:`repro.registry.BACKENDS` (the set :class:`~repro.config.ServingConfig`
 and the CLI ``--backend`` flag choose from):
 
-* :class:`DenseGridLocator` (``dense``, the default) — reads the
-  partition's dense cell->region ``label_grid`` with one fancy-indexing
-  pass.  Fastest, but its index is O(rows x cols) integers regardless of
-  how few regions there are.
+* :class:`DenseGridLocator` (``dense``, the default) — one ``take`` from
+  the partition's flat labels.  Fastest, but its index is O(rows x cols)
+  integers regardless of how few regions there are.
 * :class:`SparseBandLocator` (``sparse``) — walks the partition's
   structure instead of materialising it per cell: the grid's rows are cut
   into *bands* at every region boundary, each band keeps its regions'
@@ -38,10 +39,10 @@ __all__ = ["LocatorBackend", "DenseGridLocator", "SparseBandLocator"]
 class LocatorBackend:
     """Interface every registered locator backend implements.
 
-    Construction takes the partition to index; :meth:`locate_cells` takes
-    integer cell-coordinate arrays that are already inside the grid (the
-    server masks off-map queries first) and returns the covering region
-    index per cell, ``-1`` where no region covers the cell.
+    Construction takes the partition to index; :meth:`locate_ids` maps
+    int64 cell ids (``Grid.cell_ids``) to the covering region index, ``-1``
+    for id ``-1`` and uncovered cells.  :meth:`locate_cells` flattens
+    in-grid ``(rows, cols)`` pairs to ids first.
     """
 
     #: Canonical registry name, set by each concrete class.
@@ -49,13 +50,20 @@ class LocatorBackend:
 
     def __init__(self, partition: Partition) -> None:
         self._partition = partition
+        self._cols = partition.grid.cols
 
     @property
     def partition(self) -> Partition:
         return self._partition
 
-    def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def locate_ids(self, ids: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        # array: rows int64
+        # array: cols int64
+        # returns: int64
+        return self.locate_ids(rows * self._cols + cols)
 
     def memory_bytes(self) -> int:
         """Size of the backend's own index structure (not the partition)."""
@@ -68,30 +76,29 @@ class LocatorBackend:
 @register_backend(
     "dense",
     aliases=("label_grid", "grid"),
-    summary="dense cell->region label grid; one fancy-indexing pass per batch",
+    summary="dense cell->region label grid; one take per batch",
 )
 class DenseGridLocator(LocatorBackend):
-    """Lookups straight off the partition's dense label grid.
+    """Lookups straight off the partition's flat labels, one ``take`` a batch.
 
-    The index *is* ``partition.label_grid`` (shared, not copied), so this
-    backend adds no memory of its own but inherits the grid's O(rows x cols)
-    footprint.
+    The index *is* ``partition.flat_labels`` (shared, not copied), whose
+    last slot is the ``-1`` the off-map id indexes, so this backend adds
+    no memory of its own but inherits the grid's O(rows x cols) footprint.
     """
 
     name = "dense"
 
     def __init__(self, partition: Partition) -> None:
         super().__init__(partition)
-        self._labels = partition.label_grid
+        self._flat = partition.flat_labels
 
-    def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        # array: rows int64
-        # array: cols int64
+    def locate_ids(self, ids: np.ndarray) -> np.ndarray:
+        # array: ids int64
         # returns: int64
-        return self._labels[rows, cols]
+        return self._flat.take(ids)
 
     def memory_bytes(self) -> int:
-        return int(self._labels.nbytes)
+        return int(self._flat.nbytes)
 
 
 @register_backend(
@@ -115,10 +122,11 @@ class SparseBandLocator(LocatorBackend):
       indices.
 
     A batch lookup is then branch-free: ``searchsorted`` the query rows
-    into the band table, encode ``band * cols + col``, ``searchsorted``
-    into ``_starts``, and keep the hit only where the query key is still
-    below the segment's end key — which simultaneously rejects cells in
-    coverage gaps and keys that landed on a previous band's last segment.
+    (``ids // cols``) into the band table, encode ``band * cols + col``,
+    ``searchsorted`` into ``_starts``, and keep the hit only where the
+    query key is still below the segment's end key — which simultaneously
+    rejects cells in coverage gaps and keys that landed on a previous
+    band's last segment.  Id ``-1`` stays key ``-1`` and misses them all.
     """
 
     name = "sparse"
@@ -126,7 +134,6 @@ class SparseBandLocator(LocatorBackend):
     def __init__(self, partition: Partition) -> None:
         super().__init__(partition)
         grid = partition.grid
-        self._cols = grid.cols
         boundaries = {0, grid.rows}
         for region in partition.regions:
             boundaries.add(region.row_start)
@@ -147,12 +154,12 @@ class SparseBandLocator(LocatorBackend):
         self._stops = np.array([s[1] for s in segments], dtype=np.int64)  # array: _stops int64[segments]
         self._labels = np.array([s[2] for s in segments], dtype=np.int64)  # array: _labels int64[segments]
 
-    def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    def locate_ids(self, ids: np.ndarray) -> np.ndarray:
         # returns: int64
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = ids // self._cols
         bands = np.searchsorted(self._row_bounds, rows, side="right") - 1
-        keys = bands * self._cols + cols
+        keys = ids + (bands - rows) * self._cols
         hits = np.searchsorted(self._starts, keys, side="right") - 1
         clamped = np.maximum(hits, 0)
         covered = (hits >= 0) & (keys < self._stops[clamped])

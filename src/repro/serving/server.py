@@ -34,6 +34,7 @@ from ..config import ServingConfig
 from ..io.artifacts import load_partition_artifact
 from ..registry import BACKENDS
 from ..spatial.geometry import BoundingBox
+from ..spatial.grid import Grid
 from ..spatial.partition import Partition, masked_cell_lookup
 
 
@@ -51,6 +52,27 @@ def region_counts_from_assignment(assignment: np.ndarray, n_regions: int) -> np.
     located = assignment >= 0
     np.add.at(counts, assignment[located], 1)
     return counts
+
+
+def range_candidates(grid: Grid, labels: np.ndarray, query: BoundingBox) -> np.ndarray:
+    """Distinct region indices in the label-grid window around ``query``.
+
+    The window is the box's cell span widened by one cell on each side, so
+    a box exactly touching a cell boundary cannot lose a neighbor to
+    floating-point rounding; callers exact-check the candidates.
+    """
+    # returns: int64[k]
+    bounds = grid.bounds
+    if not bounds.intersects(query):
+        return np.empty(0, dtype=np.int64)
+    row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
+    row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
+    col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
+    col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
+    row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
+    row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
+    candidates = np.unique(labels[row_lo:row_hi, col_lo:col_hi])
+    return candidates[candidates >= 0]
 
 
 class PartitionServer:
@@ -187,18 +209,8 @@ class PartitionServer:
         :class:`~repro.exceptions.GridError`, matching ``Grid.locate_many``.
         """
         # returns: int64
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if self._resolve_strict(strict):
-            rows, cols = self._grid.locate_many(xs, ys)
-            return self._backend.locate_cells(rows, cols)
-        rows, cols = self._grid.locate_many(xs, ys, strict=False)
-        inside = rows >= 0
-        if bool(np.all(inside)):
-            return self._backend.locate_cells(rows, cols)
-        result = np.full(xs.shape, -1, dtype=int)
-        result[inside] = self._backend.locate_cells(rows[inside], cols[inside])
-        return result
+        ids = self._grid.cell_ids(xs, ys, strict=self._resolve_strict(strict))
+        return self._backend.locate_ids(ids)
 
     def locate_cells(
         self, rows: Sequence[int], cols: Sequence[int], strict: bool | None = None
@@ -217,7 +229,7 @@ class PartitionServer:
             self._grid.rows,
             self._grid.cols,
             self._resolve_strict(strict),
-            self._backend.locate_cells,
+            self._backend.locate_ids,
         )
 
     # -- range queries ----------------------------------------------------------
@@ -227,33 +239,18 @@ class PartitionServer:
 
         Semantically identical to :func:`repro.spatial.queries.range_query`
         (closed boxes: touching counts, region order preserved), but instead
-        of testing every region it slices the label grid down to the cell
-        window covering the query box and reads the candidate region indices
-        off the slice.  The window is widened by one cell on each side so
-        boxes that exactly touch a cell boundary cannot lose a neighbor to
-        floating-point rounding; candidates then pass the exact
+        of testing every region it reads the candidate region indices off
+        the label grid's window around the query box
+        (:func:`range_candidates`); candidates then pass the exact
         ``bounds.intersects`` test, so no false positives survive.  Cost is
         proportional to the window area plus the handful of candidates, not
         to the total region count.
         """
-        grid = self._grid
-        bounds = grid.bounds
-        if not bounds.intersects(query):
-            return []
-        row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
-        row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
-        col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
-        col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
-        row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
-        row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
-        if row_lo >= row_hi or col_lo >= col_hi:
-            return []
-        candidates = np.unique(self._labels[row_lo:row_hi, col_lo:col_hi])
         regions = self._partition.regions
         return [
             int(index)
-            for index in candidates
-            if index >= 0 and regions[index].bounds.intersects(query)
+            for index in range_candidates(self._grid, self._labels, query)
+            if regions[index].bounds.intersects(query)
         ]
 
     # -- aggregates --------------------------------------------------------------

@@ -36,13 +36,12 @@ chooses per batch):
   writes land in disjoint slices of one output array, so results are
   deterministic regardless of thread scheduling.
 * ``"fused"`` — for tiles that are co-resident in one process, the tiles
-  are merged into a single sentinel-padded label grid (one extra ``-1``
-  row and column; off-map points locate to ``(-1, -1)`` and wrap into the
-  sentinel border) and the whole batch is answered with one gather — no
-  mask, no sort, no scatter.  This is the in-process fast path the
-  routing benchmark holds to <= 0% overhead against a monolithic server;
-  a distributed deployment, where tiles live on other nodes, would use
-  the ``parallel`` plan's scatter instead.
+  are merged into one flat label array with a ``-1`` slot at the end
+  (the layout of ``Partition.flat_labels``) and the whole batch is one
+  ``take`` of ``Grid.cell_ids`` — no mask, no sort, no scatter.  This is
+  the in-process fast path the routing benchmark holds to parity with a
+  monolithic server; a distributed deployment, where tiles live on other
+  nodes, would use the ``parallel`` plan's scatter instead.
 
 ``auto`` uses the sequential scatter below ``parallel_threshold`` (exact
 per-shard load accounting, no pool or fused-index cost for small
@@ -521,21 +520,16 @@ class ShardedDeployment:
         return self._geometry.tile_window(self._shard_index(row, col))
 
     def compose_labels(self) -> np.ndarray:
-        """The effective full label grid, tile swaps applied, freshly built.
+        """The effective flat labels, tile swaps applied, freshly built.
 
-        The export path the multiprocess workers use: one contiguous
-        int64 ``rows x cols`` array assembled from the *current* index
+        The export path the multiprocess workers use: the
+        ``Partition.flat_labels`` layout assembled from the *current* index
         snapshot, so a worker publication after :meth:`swap_shard` ships
         the swapped tile, not the construction-time partition.  Allocates
         fresh on every call — publication-time only, never a query path.
         """
-        # returns: int64[r, c]
-        index = self._index  # one snapshot; tiles of a single publish
-        labels = np.empty((self._grid.rows, self._grid.cols), dtype=np.int64)
-        for tile in range(self._geometry.n_tiles):
-            r0, r1, c0, c1 = self._geometry.tile_window(tile)
-            labels[r0:r1, c0:c1] = index.tile_view(tile)
-        return labels
+        # returns: int64[n]
+        return self._build_fused(self._index)
 
     def __repr__(self) -> str:
         return (
@@ -590,7 +584,7 @@ class ShardedDeployment:
                 self._executor.shutdown(wait=True)
                 self._executor = None
 
-    def _fused_grid(self) -> np.ndarray:
+    def _fused_labels(self) -> np.ndarray:
         fused = self._fused
         if fused is None:
             with self._admin_lock:
@@ -600,21 +594,21 @@ class ShardedDeployment:
         return fused
 
     def _build_fused(self, index: TileGridIndex) -> np.ndarray:
-        """The sentinel-padded merged grid of one index snapshot.
+        """The merged flat labels of one index snapshot.
 
-        One extra row and column hold ``-1``: non-strict
-        ``Grid.locate_many`` reports off-map points as ``(-1, -1)``, and
-        numpy's negative indexing wraps them into the sentinel border —
-        so the fused gather needs no inside-mask, no ``np.full`` result
-        scaffold and no masked scatter, which is precisely why it
-        undercuts the monolithic server's non-strict path.
+        ``rows * cols`` row-major labels, then ``-1`` where the off-map id
+        of :meth:`~repro.spatial.grid.Grid.cell_ids` lands — so the fused
+        plan is one ``take`` with no inside-mask, no ``np.full`` result
+        scaffold and no masked scatter: the monolithic dense gather.
         """
-        # returns: int64[u, v] contiguous
+        # returns: int64[n] contiguous
         grid = self._grid
-        fused = np.full((grid.rows + 1, grid.cols + 1), -1, dtype=np.int64)
+        fused = np.empty(grid.n_cells + 1, dtype=np.int64)
+        labels = fused[:-1].reshape(grid.shape)
         for tile_index in range(self._geometry.n_tiles):
             r0, r1, c0, c1 = self._geometry.tile_window(tile_index)
-            fused[r0:r1, c0:c1] = index.tile_view(tile_index)
+            labels[r0:r1, c0:c1] = index.tile_view(tile_index)
+        fused[-1] = -1
         return fused
 
     def _charge_shards(self, counts: np.ndarray) -> None:
@@ -649,8 +643,8 @@ class ShardedDeployment:
         strict_mode = self._resolve_strict(strict)
 
         if plan == "fused":
-            rows, cols = self._grid.locate_many(xs, ys, strict=strict_mode)
-            located = self._fused_grid()[rows, cols]
+            ids = self._grid.cell_ids(xs, ys, strict=strict_mode)
+            located = self._fused_labels().take(ids)
             with self._counter_lock:
                 self._fused_points += int(located.size)
             return located

@@ -7,8 +7,9 @@ socket** (the kernel load-balances connections across blocked
 acceptors — the classic pre-fork design) and answer the wire protocol of
 :mod:`repro.serving.wire` from **shared memory**:
 
-* the parent copies each deployment's dense label grid *once* into a
-  ``multiprocessing.shared_memory`` segment at publish time;
+* the parent copies each deployment's flat labels (``rows * cols + 1``
+  int64, the last ``-1``) *once* into a ``multiprocessing.shared_memory``
+  segment at publish time;
 * workers attach read-only views — the fork after export means the
   mapping is inherited, and a respawned worker re-attaches by name;
 * a hot-swap publishes a **new** segment and a version bump over each
@@ -57,6 +58,7 @@ from ..spatial.grid import Grid
 from ..spatial.region import GridRegion
 from .locks import new_lock
 from .protocol import LATEST, LocateRequest, QueryResult, RangeRequest
+from .server import range_candidates
 from .wire import serve_connection
 
 __all__ = ["WorkerPool", "WorkerState", "fork_available"]
@@ -84,14 +86,15 @@ class _WorkerDeployment:
 
     Everything a worker needs to answer the read path bit-exactly
     against the in-process engine: the :class:`Grid` (reconstructed from
-    geometry — pure arithmetic, no arrays), the shared label grid (a
-    read-only view over the segment), and the region extent boxes for
-    range queries.  The ``shm`` handle is kept referenced so the mapping
-    outlives every in-flight request that reads through it.
+    geometry — pure arithmetic, no arrays), the shared flat labels (a
+    read-only view over the segment) and ``labels``, their label-grid
+    view, and the region extent boxes for range queries.  The ``shm``
+    handle is kept referenced so the mapping outlives every in-flight
+    request that reads through it.
     """
 
     __slots__ = (
-        "name", "version", "grid", "labels", "region_bounds", "n_regions",
+        "name", "version", "grid", "flat", "labels", "region_bounds", "n_regions",
         "shm", "source",
     )
 
@@ -108,11 +111,12 @@ class _WorkerDeployment:
             ),
         )
         self.shm = shared_memory.SharedMemory(name=export["segment"])
-        labels = np.ndarray(
-            (self.grid.rows, self.grid.cols), dtype=np.int64, buffer=self.shm.buf
+        flat = np.ndarray(
+            (self.grid.n_cells + 1,), dtype=np.int64, buffer=self.shm.buf
         )
-        labels.flags.writeable = False  # readers, by contract
-        self.labels = labels
+        flat.flags.writeable = False  # readers, by contract
+        self.flat = flat
+        self.labels = flat[:-1].reshape(self.grid.shape)
         extents = np.asarray(export["extents"], dtype=np.int64)
         self.region_bounds = [
             GridRegion(
@@ -223,29 +227,17 @@ class WorkerState:
         strict: Optional[bool] = None,
         version: Optional[Union[int, str]] = None,
     ) -> Tuple[int, np.ndarray]:
-        """Array-native batch locate against the shared label grid.
+        """Array-native batch locate against the shared flat labels.
 
         Semantically identical to
         :meth:`~repro.serving.server.PartitionServer.locate_points` with
-        the dense backend (the oracle the worker tests pin against):
-        same clamp/strict behaviour through ``Grid.locate_many``, same
-        ``-1`` off-map sentinel, same int64 result.
+        the dense backend (the oracle the worker tests pin against): the
+        same ``Grid.cell_ids`` and one ``take``.
         """
         # returns: int64[n]
         entry = self._resolve(name, version)
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if self._strict_default if strict is None else strict:
-            rows, cols = entry.grid.locate_many(xs, ys)
-            assignment = entry.labels[rows, cols]
-        else:
-            rows, cols = entry.grid.locate_many(xs, ys, strict=False)
-            inside = rows >= 0
-            if bool(np.all(inside)):
-                assignment = entry.labels[rows, cols]
-            else:
-                assignment = np.full(xs.shape, -1, dtype=int)
-                assignment[inside] = entry.labels[rows[inside], cols[inside]]
+        strict_mode = self._strict_default if strict is None else strict
+        assignment = entry.flat.take(entry.grid.cell_ids(xs, ys, strict=strict_mode))
         with self._counter_lock:
             self._queries += 1
             self._points += int(assignment.size)
@@ -272,32 +264,17 @@ class WorkerState:
         """Regions intersecting the request box, off the shared labels.
 
         The same windowed algorithm as
-        :meth:`~repro.serving.server.PartitionServer.range_query`: slice
-        the label grid down to the query's cell window (widened one cell
-        against boundary rounding), then exact ``intersects`` tests on
-        the candidates.
+        :meth:`~repro.serving.server.PartitionServer.range_query`:
+        :func:`~repro.serving.server.range_candidates`, then exact
+        ``intersects`` tests on the candidates.
         """
         entry = self._resolve(request.deployment, request.version)
-        grid = entry.grid
-        bounds = grid.bounds
         query = request.bounds
-        regions: List[int] = []
-        if bounds.intersects(query):
-            row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
-            row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
-            col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
-            col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
-            row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
-            row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
-            if row_lo < row_hi and col_lo < col_hi:
-                candidates = np.unique(
-                    entry.labels[row_lo:row_hi, col_lo:col_hi]
-                )
-                regions = [
-                    int(index)
-                    for index in candidates
-                    if index >= 0 and entry.region_bounds[index].intersects(query)
-                ]
+        regions = [
+            int(index)
+            for index in range_candidates(entry.grid, entry.labels, query)
+            if entry.region_bounds[index].intersects(query)
+        ]
         with self._counter_lock:
             self._queries += 1
         return QueryResult(
@@ -449,11 +426,11 @@ def _publish_stamp(version: int, server: Any) -> Tuple:
 
 
 def _export_labels(server: Any) -> np.ndarray:
-    """The effective dense label grid of any server type, publish-time."""
+    """The effective flat labels of any server type, publish-time."""
     compose = getattr(server, "compose_labels", None)
     if callable(compose):  # sharded: apply tile swaps
         return compose()
-    return np.ascontiguousarray(server.partition.label_grid, dtype=np.int64)
+    return server.partition.flat_labels
 
 
 class WorkerPool:

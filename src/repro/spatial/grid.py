@@ -168,6 +168,37 @@ class Grid:
         )
         return rows, cols
 
+    def cell_ids(self, xs: np.ndarray, ys: np.ndarray, strict: bool = True) -> np.ndarray:
+        """Row-major cell id (:meth:`cell_id`) of every point, ``-1`` off the map.
+
+        The inside test, cast and clamp of :meth:`locate_many`, so inside
+        points get its cells, as int64 ``row * cols + col`` in the input's
+        shape.  Off-map points (NaN and infinities too) raise
+        :class:`GridError` when ``strict``, else get ``-1``: the sentinel
+        slot of :attr:`~repro.spatial.partition.Partition.flat_labels`.
+        """
+        # returns: int64
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if xs.shape != ys.shape:
+            raise GridError("xs and ys must have the same shape")
+        shape, xs, ys = xs.shape, xs.reshape(-1), ys.reshape(-1)
+        box = self._bounds
+        inside = (xs >= box.min_x) & (xs <= box.max_x) & (ys >= box.min_y) & (ys <= box.max_y)
+        all_inside = bool(inside.all())
+        if strict and not all_inside:
+            raise GridError("some coordinates fall outside the grid bounds")
+        # Non-finite coordinates are never inside; their cast is masked below.
+        with np.errstate(invalid="ignore"):
+            cols = ((xs - box.min_x) / self.cell_width).astype(np.int64, copy=False)
+            ids = ((ys - box.min_y) / self.cell_height).astype(np.int64, copy=False)
+        np.minimum(cols, self._cols - 1, out=cols)
+        np.minimum(ids, self._rows - 1, out=ids)
+        ids *= self._cols
+        ids += cols
+        if not all_inside:
+            np.putmask(ids, ~inside, -1)
+        return ids.reshape(shape)
+
     def cell_bounds(self, row: int, col: int) -> BoundingBox:
         """Geographic extent of cell ``(row, col)``."""
         self._check_cell(row, col)

@@ -23,31 +23,25 @@ def masked_cell_lookup(
     n_rows: int,
     n_cols: int,
     strict: bool,
-    lookup: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lookup: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Bounds-handled cell lookup shared by every cell->region reader.
 
-    Validates shapes, then applies ``lookup`` (an in-grid vectorised
-    cell->label function) to the coordinates: all-inside batches in one
-    pass, otherwise out-of-grid cells either raise (``strict``) or come
-    back as ``-1``.  :meth:`Partition.assign` and the serving layer's
-    backend-routed ``locate_cells`` are the same contract over different
-    lookups — this helper is that contract, written once.
+    Validates shapes, then applies ``lookup`` (a vectorised cell-id->label
+    function answering ``-1`` for id ``-1``) to the row-major cell ids:
+    out-of-grid cells either raise (``strict``) or get id ``-1``.
+    :meth:`Partition.assign` and the serving layer's backend-routed
+    ``locate_cells`` are the same contract over different lookups — this
+    helper is that contract, written once.
     """
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     if rows.shape != cols.shape:
         raise PartitionError("rows and cols must have the same shape")
-    if rows.size == 0:
-        return np.empty(0, dtype=int)
     inside = (rows >= 0) & (rows < n_rows) & (cols >= 0) & (cols < n_cols)
-    if bool(np.all(inside)):
-        return lookup(rows, cols)
-    if strict:
+    if strict and not bool(np.all(inside)):
         raise PartitionError("cell coordinates outside the grid")
-    result = np.full(rows.shape, -1, dtype=int)
-    result[inside] = lookup(rows[inside], cols[inside])
-    return result
+    return lookup(np.where(inside, rows * n_cols + cols, -1))
 
 
 class Partition:
@@ -81,7 +75,8 @@ class Partition:
         self._validate_disjoint()
         if require_complete:
             self.validate_complete()
-        self._label_grid = self._build_label_grid()
+        self._flat_labels = self._build_flat_labels()
+        self._label_grid = self._flat_labels[:-1].reshape(grid.shape)
 
     # -- invariants -----------------------------------------------------------
 
@@ -104,12 +99,13 @@ class Partition:
         """True when the regions tile the entire grid."""
         return bool(np.all(self._coverage >= 1))
 
-    def _build_label_grid(self) -> np.ndarray:
-        labels = np.full(self._grid.shape, -1, dtype=int)
+    def _build_flat_labels(self) -> np.ndarray:
+        flat = np.full(self._grid.n_cells + 1, -1, dtype=np.int64)
+        labels = flat[:-1].reshape(self._grid.shape)
         for idx, region in enumerate(self._regions):
             labels[region.row_start:region.row_stop, region.col_start:region.col_stop] = idx
-        labels.setflags(write=False)
-        return labels
+        flat.setflags(write=False)
+        return flat
 
     # -- basic accessors ----------------------------------------------------------
 
@@ -127,9 +123,18 @@ class Partition:
 
         ``label_grid[r, c]`` is the index of the region covering cell
         ``(r, c)``, or ``-1`` for uncovered cells of incomplete partitions.
-        This is the array the serving layer answers batched lookups from.
+        It is a view of :attr:`flat_labels` without its sentinel: no copy.
         """
         return self._label_grid
+
+    @property
+    def flat_labels(self) -> np.ndarray:
+        """Row-major int64 labels of every cell, then a ``-1`` sentinel (read-only).
+
+        Indexed by :meth:`Grid.cell_ids <repro.spatial.grid.Grid.cell_ids>`
+        (``-1`` off the map): the serving layer's one-``take`` lookup.
+        """
+        return self._flat_labels
 
     def __len__(self) -> int:
         return len(self._regions)
@@ -172,7 +177,7 @@ class Partition:
             self._grid.rows,
             self._grid.cols,
             strict,
-            lambda r, c: self._label_grid[r, c],
+            self._flat_labels.take,
         )
 
     def region_sizes(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:

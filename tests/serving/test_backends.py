@@ -158,6 +158,26 @@ class TestEquivalenceProperties:
         )
 
     @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_cell_id_and_the_off_map_id_agree(self, seed):
+        """The backends' own interface: every in-grid id, and ``-1``."""
+        rng = np.random.default_rng(seed)
+        grid = Grid(int(rng.integers(1, 16)), int(rng.integers(1, 16)))
+        partition = _kdtree_style_partition(grid, seed)
+        if len(partition) > 1 and rng.random() < 0.5:
+            kept = [r for i, r in enumerate(partition.regions) if i != 0]
+            partition = Partition(grid, kept, require_complete=False)
+        ids = rng.permutation(np.append(np.arange(grid.n_cells), [-1, -1, -1]))
+        dense = DenseGridLocator(partition).locate_ids(ids)
+        sparse = SparseBandLocator(partition).locate_ids(ids)
+        assert dense.dtype == sparse.dtype == np.int64
+        assert dense.tobytes() == sparse.tobytes()
+        assert np.all(dense[ids == -1] == -1)
+        np.testing.assert_array_equal(
+            dense[ids >= 0], partition.label_grid.ravel()[ids[ids >= 0]]
+        )
+
+    @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_strict_mode_agrees_on_map_and_raises_off_map(self, seed):
         rng = np.random.default_rng(seed)

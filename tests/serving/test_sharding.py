@@ -143,6 +143,25 @@ class TestShardValidation:
         )
 
 
+def _label_grid_oracle(partition, xs, ys):
+    """Region per point from the label grid alone, ``-1`` off the map.
+
+    Written apart from the program's lookup: cell ``floor(offset / cell
+    size)``, points on the far edge clamped into the last row/column.
+    """
+    grid = partition.grid
+    box = grid.bounds
+    inside = (xs >= box.min_x) & (xs <= box.max_x) & (ys >= box.min_y) & (ys <= box.max_y)
+    cols = np.floor((xs[inside] - box.min_x) / ((box.max_x - box.min_x) / grid.cols))
+    rows = np.floor((ys[inside] - box.min_y) / ((box.max_y - box.min_y) / grid.rows))
+    expected = np.full(xs.shape, -1, dtype=np.int64)
+    expected[inside] = partition.label_grid[
+        np.minimum(rows.astype(np.int64), grid.rows - 1),
+        np.minimum(cols.astype(np.int64), grid.cols - 1),
+    ]
+    return expected
+
+
 class TestShardedProperties:
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -202,6 +221,53 @@ class TestShardedProperties:
             np.testing.assert_array_equal(
                 sharded.locate_points(xs, ys, plan=plan), expected
             )
+
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        shard_rows=st.integers(1, 6),
+        shard_cols=st.integers(1, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fused_plan_off_map_matches_oracles(self, seed, shard_rows, shard_cols):
+        """The fused take answers edges, one-ulp misses, NaN and infinities.
+
+        Checked against the monolithic server and an independent
+        label-grid oracle, on a map with a negative origin, in 1-D and 2-D.
+        """
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(shard_rows, 20))
+        cols = int(rng.integers(shard_cols, 20))
+        partition = uniform_partition(
+            Grid(rows, cols, BoundingBox(-3.0, -1.5, 2.0, 4.0)),
+            int(rng.integers(1, rows + 1)),
+            int(rng.integers(1, cols + 1)),
+        )
+        sharded = ShardedDeployment(partition, shard_rows, shard_cols)
+        box = partition.grid.bounds
+        xs = rng.uniform(box.min_x - 1.0, box.max_x + 1.0, 240)
+        ys = rng.uniform(box.min_y - 1.0, box.max_y + 1.0, 240)
+        specials = [
+            box.min_x, box.max_x, np.nextafter(box.max_x, np.inf),
+            np.nextafter(box.min_x, -np.inf), np.nan, np.inf, -np.inf,
+        ]
+        picks = rng.integers(0, 240, 60)
+        xs[picks] = rng.choice(specials, 60)
+        ys[rng.integers(0, 240, 30)] = box.max_y
+        ys[rng.integers(0, 240, 10)] = np.nan
+        expected = _label_grid_oracle(partition, xs, ys)
+        fused = sharded.locate_points(xs, ys, strict=False, plan="fused")
+        assert fused.dtype == np.int64
+        assert fused.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(
+            fused, PartitionServer(partition).locate_points(xs, ys, strict=False)
+        )
+        np.testing.assert_array_equal(
+            sharded.locate_points(
+                xs.reshape(12, 20), ys.reshape(12, 20), strict=False, plan="fused"
+            ),
+            expected.reshape(12, 20),
+        )
 
 
 class TestDispatchPlans:

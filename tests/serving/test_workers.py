@@ -26,7 +26,7 @@ from repro.serving import (
     WorkerPool,
 )
 from repro.serving.server import PartitionServer
-from repro.serving.workers import fork_available
+from repro.serving.workers import WorkerState, fork_available
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 
@@ -186,6 +186,27 @@ class TestHotSwap:
         with _connect(pool) as conn:
             with pytest.raises(ServingError, match="unknown deployment"):
                 conn.locate("la", np.array([0.1]), np.array([0.1]))
+
+    def test_segment_is_flat_labels_with_sentinel_read_only_in_worker(
+        self, engine, pool
+    ):
+        partition = engine.server_for("la").partition
+        n_values = partition.grid.n_cells + 1
+        export = pool._exports["la"]
+        assert export.segment.size == n_values * 8
+        published = np.ndarray((n_values,), dtype=np.int64, buffer=export.segment.buf)
+        assert int(published[-1]) == -1
+        assert published.tobytes() == partition.flat_labels.tobytes()
+        # Attach the descriptor the way a worker does.
+        state = WorkerState()
+        state.apply_exports([export.descriptor])
+        (entry, _), = state._deployments.values()
+        assert entry.flat.dtype == np.int64 and entry.flat.shape == (n_values,)
+        assert entry.flat.tobytes() == partition.flat_labels.tobytes()
+        assert not entry.flat.flags.writeable
+        assert not entry.labels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            entry.flat[0] = 0
 
     def test_unchanged_publish_is_a_cheap_no_op(self, engine, pool):
         before = {name: export.segment.name
