@@ -24,6 +24,11 @@ grid):
   at least :data:`MIN_BINARY_SPEEDUP` x single-threaded in-process
   protocol dispatch — raw float64 framing must beat the tuple-conversion
   tax `engine.locate` pays on a protocol request.
+* **Honest baseline** — the same batch through `engine.locate_batch`,
+  the array gather every transport ends in, and `wire_tax_x`: the
+  in-process binary wire round trip over that gather, the median over
+  :data:`WIRE_TAX_PAIRS` interleaved (gather, wire) pairs.  Reported,
+  not gated.
 * **Hot-swap under load** — per-request latency of a busy client while an
   admin client hot-swaps the deployment 20 times; reports idle-vs-swapping
   p50/p95, and asserts the readers observed only whole versions (the
@@ -32,6 +37,7 @@ grid):
 Results land in ``benchmarks/output/http_serving.txt``.
 """
 
+import statistics
 import threading
 import time
 
@@ -78,6 +84,10 @@ N_WORKERS = 2
 #: Acceptance bound (PR 10): binary wire + workers throughput at least
 #: this multiple of single-threaded in-process protocol dispatch.
 MIN_BINARY_SPEEDUP = 1.0
+
+#: Interleaved (array gather, in-process binary wire) pairs behind
+#: ``wire_tax_x``.
+WIRE_TAX_PAIRS = 21
 
 
 def _build_partition():
@@ -202,8 +212,26 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
                 binary_best, binary_result = _best_of(
                     lambda: client.locate_points("la", xs, ys)
                 )
+                gathers, taxes = [], []
+                for _ in range(WIRE_TAX_PAIRS):
+                    start = time.perf_counter()
+                    engine.locate_batch("la", xs, ys)
+                    gather = time.perf_counter() - start
+                    start = time.perf_counter()
+                    client.locate_points("la", xs, ys)
+                    taxes.append((time.perf_counter() - start) / gather)
+                    gathers.append(gather)
         assert np.array_equal(binary_result, expected), (
             "binary wire dispatch changed assignments"
+        )
+        gather_best = min(gathers)
+        rows.append(
+            {
+                "mode": "in-process engine.locate_batch (array gather)",
+                "points": BATCH,
+                "best_ms": gather_best * 1000.0,
+                "mlookups_s": BATCH / gather_best / 1e6,
+            }
         )
 
         with ServingHTTPServer(
@@ -249,6 +277,7 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
                 "points": BATCH,
                 "best_ms": binary_best * 1000.0,
                 "mlookups_s": results["binary_rate"] / 1e6,
+                "wire_tax_x": statistics.median(taxes),
             }
         )
         rows.append(
@@ -328,7 +357,9 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
         rows,
         title="HTTP serving — wire vs in-process protocol dispatch, sustained "
         f"{N_CLIENTS}-client throughput, and hot-swap-under-load latency "
-        f"(Fair KD-tree h=8, Los Angeles, 64x64 grid, {BATCH:,}-point batches)",
+        f"(Fair KD-tree h=8, Los Angeles, 64x64 grid, {BATCH:,}-point batches; "
+        "wire_tax_x = in-process binary wire / array gather, median of "
+        f"{WIRE_TAX_PAIRS} interleaved pairs)",
     )
     record_output(output_dir, "http_serving", table)
 

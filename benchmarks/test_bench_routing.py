@@ -526,6 +526,89 @@ def test_dispatch_allocation_budget(benchmark, output_dir):
     _flush_sections(output_dir)
 
 
+#: Ceiling on the tracemalloc peak of one 10^5-point binary
+#: ``WireConnection.locate`` against an in-process ``WireServer`` (client
+#: and server threads both traced), in request-payload units (16 bytes a
+#: point, 1.6 MB).  Scatter-gather framing holds ~2.6: the server's one
+#: ``recv_into`` buffer (1.0), the gather's int64 cell ids and answer
+#: (0.5 each) with the finite check's and the grid's smaller
+#: temporaries, while the answer goes out straight from the result array
+#: and arrives in the client's own ``recv_into`` buffer (0.5).  Staging
+#: the payload through ``bytes`` again — a ``tobytes``, a ``b"".join``, a
+#: header concat, chunked receives joined — adds +0.5 to +1.0 per copy
+#: (joined staging measured ~4.0).
+MAX_WIRE_PAYLOAD_BUFFERS = 3.0
+
+
+@pytest.mark.benchmark(group="serving")
+def test_wire_allocation_budget(benchmark, output_dir):
+    """One 10^5-point binary wire round trip within a fixed allocation budget.
+
+    The wire twin of :func:`test_dispatch_allocation_budget`: tracemalloc
+    traces every thread, so the peak over one ``WireConnection.locate``
+    counts the buffers the client's encode and send, the server's
+    receive, decode, gather and answer, and the client's receive keep
+    live at once.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.serving import WireConnection, WireServer
+    from repro.serving.codecs import BinaryCodec
+
+    partition = _build_partition()
+    engine = ServingEngine()
+    engine.deploy("la", PartitionServer(partition))
+    bounds = partition.grid.bounds
+    rng = np.random.default_rng(43)
+    size = 100_000
+    xs = rng.uniform(bounds.min_x, bounds.max_x, size)
+    ys = rng.uniform(bounds.min_y, bounds.max_y, size)
+    payload_bytes = float(len(BinaryCodec().encode_request("la", xs, ys)))
+    expected = engine.locate_points("la", xs, ys)
+
+    measurements = {}
+
+    def run() -> None:
+        with WireServer(engine, port=0).serve_background() as server:
+            with WireConnection(server.host, server.port, codecs=("binary",)) as conn:
+                conn.locate("la", xs, ys)  # warm caches and lazy imports
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    baseline, _ = tracemalloc.get_traced_memory()
+                    tracemalloc.reset_peak()
+                    _, assignment = conn.locate("la", xs, ys)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert np.array_equal(assignment, expected)
+        measurements["live"] = (peak - baseline) / payload_bytes
+
+    benchmark.pedantic(run, rounds=1, iterations=1)
+
+    assert measurements["live"] <= MAX_WIRE_PAYLOAD_BUFFERS, (
+        f"one wire round trip held {measurements['live']:.2f} request-payload "
+        f"buffers live at peak (budget {MAX_WIRE_PAYLOAD_BUFFERS}); a staging "
+        "copy crept back into the framing or the codec"
+    )
+
+    _SECTIONS["5_wire_alloc"] = format_table(
+        [
+            {
+                "points": size,
+                "payload_mb": payload_bytes / 1e6,
+                "peak_live_payloads": measurements["live"],
+                "live_budget": MAX_WIRE_PAYLOAD_BUFFERS,
+            }
+        ],
+        title="Wire allocation budget — tracemalloc peak over one 10^5-point "
+        "binary WireConnection.locate against an in-process WireServer "
+        "(both threads traced), in request-payload (1.6 MB) units",
+    )
+    _flush_sections(output_dir)
+
+
 def _synthetic_labels(side: int, n_regions: int = 4096) -> np.ndarray:
     """A ``side x side`` int64 label grid, synthesised in row chunks so the
     10^8-cell tier never materialises a second full-size temporary."""

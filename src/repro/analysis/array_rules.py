@@ -10,7 +10,9 @@ Four rules built on :mod:`repro.analysis.arrays_model`:
 ``hot-path-copy``
     A copy-producing idiom on an array-hot module: ``astype`` without
     ``copy=False``, ``.tolist()``, ``np.append``, concatenation inside a
-    loop, a strided slice fed to ``tobytes()``.
+    loop, a strided slice fed to ``tobytes()``; on the wire modules
+    (``LintConfig.wire_paths``) also ``b"".join(...)`` and ``+`` on a
+    ``.pack(...)``/``.tobytes()`` result.
 ``dtype-churn``
     A silent dtype change on an array-hot module: any fallback to
     ``dtype=object``, or a narrowing cast (int64 -> int32,
@@ -265,14 +267,20 @@ class HotPathCopy(Rule):
     matches; ``.tolist()`` materialises a Python list; ``np.append``
     copies the whole array per call; concatenation inside a loop recopies
     all accumulated data every iteration; a strided slice fed to
-    ``tobytes()`` forces a contiguous staging copy.  Genuine wire
-    boundaries (JSON encoding) carry a justified
+    ``tobytes()`` forces a contiguous staging copy.  On the wire modules
+    a ``b"".join(...)`` or a ``+`` on a ``.pack(...)``/``.tobytes()``
+    result (directly or through a name bound to one in the same
+    function) stages the payload in a fresh frame-sized ``bytes`` object
+    the scatter-gather send exists to avoid.  Genuine boundaries (JSON
+    encoding, the small-frame coalesce) carry a justified
     ``# repro: ignore[hot-path-copy]`` pragma instead.
     """
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if not module.config.is_array_hot(module.path):
             return
+        if module.config.is_wire(module.path):
+            yield from self._check_staging(module)
         parents = build_parent_map(module.tree)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -319,6 +327,31 @@ class HotPathCopy(Rule):
                         "`ascontiguousarray` once outside the hot path",
                     )
 
+    def _check_staging(self, module: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                staged = _names_bound_to_bytes_calls(node)
+                for child in _walk_own(node):
+                    if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Add):
+                        if _is_bytes_result(child.left, staged) or _is_bytes_result(
+                            child.right, staged
+                        ):
+                            yield self.finding(
+                                module,
+                                child.lineno,
+                                "`+` on a `.pack()`/`.tobytes()` result copies "
+                                "the frame into a fresh bytes object; send the "
+                                "pieces as parts (`FrameParts`, `sendmsg`)",
+                            )
+            elif _is_bytes_join(node):
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    '`b"".join(...)` stages the payload in a fresh bytes '
+                    "object; send the pieces as parts (`FrameParts`, "
+                    "`sendmsg`)",
+                )
+
     @staticmethod
     def _strided(receiver: ast.expr) -> bool:
         if not isinstance(receiver, ast.Subscript):
@@ -335,6 +368,52 @@ class HotPathCopy(Rule):
                 ):
                     return True
         return False
+
+
+#: Methods whose result is a fresh ``bytes`` copy of packed or array data.
+_BYTES_METHODS = ("pack", "tobytes")
+
+
+def _is_bytes_call(node: ast.expr) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _BYTES_METHODS
+    )
+
+
+def _is_bytes_join(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "join"
+        and isinstance(node.func.value, ast.Constant)
+        and isinstance(node.func.value.value, bytes)
+    )
+
+
+def _walk_own(function: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of a function body, not descending into nested functions
+    (each is visited on its own, with its own names)."""
+    pending = list(ast.iter_child_nodes(function))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _names_bound_to_bytes_calls(function: ast.AST) -> frozenset:
+    """Names a function assigns straight from a ``.pack``/``.tobytes`` call."""
+    names = set()
+    for node in _walk_own(function):
+        if isinstance(node, ast.Assign) and _is_bytes_call(node.value):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return frozenset(names)
+
+
+def _is_bytes_result(node: ast.expr, staged: frozenset) -> bool:
+    return _is_bytes_call(node) or (isinstance(node, ast.Name) and node.id in staged)
 
 
 #: Conversion calls ``dtype-churn`` inspects: ``x.astype(D)`` plus the

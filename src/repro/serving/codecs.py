@@ -13,10 +13,11 @@ partitioner/backend registries).  Two codecs ship:
   PR 5 speaks it; it remains the HTTP transport's format and the
   fallback when capability negotiation fails.
 * ``binary`` — raw little-endian buffers with a fixed-layout prefix, no
-  base64 and no JSON on the hot path.  A 10^5-point batch costs a
-  struct pack plus two buffer writes instead of ~2 ms of base64 and a
-  JSON scan; it is what the persistent-socket wire transport
-  (:mod:`repro.serving.wire`) negotiates by default.
+  base64 and no JSON on the hot path.  Encoding a 10^5-point batch is a
+  struct pack: the payload is a :class:`FrameParts` holding the prefix,
+  the name and the caller's own coordinate arrays, which the wire
+  transport (:mod:`repro.serving.wire`, which negotiates this codec by
+  default) hands to the socket without joining them.
 
 Both codecs canonicalise to the same :class:`DenseLocate` value and are
 property-tested bit-exact against each other — NaN payloads, signed
@@ -47,6 +48,7 @@ __all__ = [
     "JsonB64Codec",
     "BinaryCodec",
     "DenseLocate",
+    "FrameParts",
     "encode_b64_array",
     "decode_b64_array",
     "resolve_codec",
@@ -67,6 +69,54 @@ def require_finite_coords(request: "DenseLocate") -> None:
     if (xs.size and not np.isfinite(xs).all()) or \
             (ys.size and not np.isfinite(ys).all()):
         raise ConfigurationError("locate coordinates must be finite")
+
+
+#: Anything :class:`FrameParts` can hold: a bytes-like object, or a
+#: C-contiguous ndarray whose memory is the payload bytes.
+Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
+
+
+class FrameParts:
+    """A frame payload kept as the buffers that make it up, in wire order.
+
+    The binary codec's encoders return one of these instead of joined
+    ``bytes``: the coordinate or assignment arrays stay the caller's own
+    memory until :func:`~repro.serving.wire.send_frame` hands them to the
+    socket, so a batch is never staged through a fresh multi-megabyte
+    ``bytes`` object.  ``len()`` is the payload byte count and
+    ``bytes()`` is exactly the joined payload the wire carries.
+    """
+
+    __slots__ = ("parts", "nbytes")
+
+    def __init__(self, parts: Tuple[Buffer, ...], nbytes: int) -> None:
+        # ``nbytes`` comes from the encoder, which knows it already:
+        # summing the parts here costs as much as a 64-point encode.
+        self.parts = parts
+        self.nbytes = nbytes
+
+    def __len__(self) -> int:
+        return self.nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)  # repro: ignore[hot-path-copy] -- explicit materialisation for a caller that asks for one bytes object (tests, debugging); send_frame never calls it
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FrameParts({len(self.parts)} parts, {self.nbytes} bytes)"
+
+
+def _byte_view(payload: Buffer) -> memoryview:
+    """A flat, read-only byte view of any bytes-like payload, without a copy.
+
+    Read-only whatever the source: ``np.frombuffer`` over it then yields
+    views the locate path can never write through, even when the payload
+    is a ``recv_into`` buffer.  ``bytes`` (every small frame) already is
+    such a buffer, so the decoders pass it through without a view.
+    """
+    view = memoryview(payload)
+    if view.ndim != 1 or view.format != "B":
+        view = view.cast("B")
+    return view.toreadonly()
 
 
 def encode_b64_array(values: np.ndarray, dtype: str) -> str:
@@ -169,18 +219,18 @@ class Codec:
         ys: np.ndarray,
         strict: Optional[bool] = None,
         version: Optional[Union[int, str]] = None,
-    ) -> bytes:
+    ) -> Union[bytes, FrameParts]:
         raise NotImplementedError
 
-    def decode_request(self, payload: bytes) -> DenseLocate:
+    def decode_request(self, payload: Buffer) -> DenseLocate:
         raise NotImplementedError
 
     def encode_response(
         self, deployment: str, version: int, regions: np.ndarray
-    ) -> bytes:
+    ) -> Union[bytes, FrameParts]:
         raise NotImplementedError
 
-    def decode_response(self, payload: bytes) -> Tuple[int, np.ndarray]:
+    def decode_response(self, payload: Buffer) -> Tuple[int, np.ndarray]:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -318,10 +368,13 @@ _VERSION_LATEST = -1
 class BinaryCodec(Codec):
     """Raw-buffer framing: the request *is* the coordinate memory.
 
-    Encoding a batch is one 15-byte struct pack plus the name and two
-    buffer copies; decoding is three ``np.frombuffer`` views (zero-copy,
-    read-only) over the received payload.  All multi-byte fields are
-    little-endian, so the format is identical across hosts.
+    Encoding a batch is one 15-byte struct pack: the result is a
+    :class:`FrameParts` of the prefix, the name bytes and the ``<f8``
+    coordinate arrays themselves (``ascontiguousarray`` copies only
+    strided or big-endian input).  Decoding accepts any bytes-like buffer
+    and returns zero-copy, read-only ``np.frombuffer`` views over it.  All
+    multi-byte fields are little-endian, so the format is identical
+    across hosts.
     """
 
     name = "binary"
@@ -333,7 +386,7 @@ class BinaryCodec(Codec):
         ys: np.ndarray,
         strict: Optional[bool] = None,
         version: Optional[Union[int, str]] = None,
-    ) -> bytes:
+    ) -> FrameParts:
         name_bytes = deployment.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise ConfigurationError(
@@ -363,9 +416,14 @@ class BinaryCodec(Codec):
         prefix = _REQ_PREFIX.pack(
             len(name_bytes), strict_code, version_code, len(xs)
         )
-        return b"".join((prefix, name_bytes, xs.tobytes(), ys.tobytes()))
+        return FrameParts(
+            (prefix, name_bytes, xs, ys),
+            _REQ_PREFIX.size + len(name_bytes) + xs.nbytes + ys.nbytes,
+        )
 
-    def decode_request(self, payload: bytes) -> DenseLocate:
+    def decode_request(self, payload: Buffer) -> DenseLocate:
+        if not isinstance(payload, bytes):
+            payload = _byte_view(payload)
         if len(payload) < _REQ_PREFIX.size:
             raise ConfigurationError(
                 f"binary locate request of {len(payload)} bytes is shorter "
@@ -381,7 +439,7 @@ class BinaryCodec(Codec):
                 f"{n} coordinate pairs)"
             )
         try:
-            deployment = payload[offset:offset + name_len].decode("utf-8")
+            deployment = bytes(payload[offset:offset + name_len]).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigurationError(
                 f"binary locate deployment name is not UTF-8: {exc}"
@@ -411,12 +469,14 @@ class BinaryCodec(Codec):
 
     def encode_response(
         self, deployment: str, version: int, regions: np.ndarray
-    ) -> bytes:
+    ) -> FrameParts:
         regions = np.ascontiguousarray(regions, dtype="<i8")
         prefix = _RES_PREFIX.pack(int(version), regions.size)
-        return b"".join((prefix, regions.tobytes()))
+        return FrameParts((prefix, regions), _RES_PREFIX.size + regions.nbytes)
 
-    def decode_response(self, payload: bytes) -> Tuple[int, np.ndarray]:
+    def decode_response(self, payload: Buffer) -> Tuple[int, np.ndarray]:
+        if not isinstance(payload, bytes):
+            payload = _byte_view(payload)
         if len(payload) < _RES_PREFIX.size:
             raise ConfigurationError(
                 f"binary locate response of {len(payload)} bytes is shorter "

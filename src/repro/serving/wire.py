@@ -35,6 +35,16 @@ like the HTTP layer's oversized-body handling.  A connection that ends
 mid-frame raises :class:`~repro.exceptions.TransportError` ("truncated
 frame"); a connection that ends cleanly between frames is just EOF.
 
+Payloads move without staging copies.  A payload of at least
+:data:`SCATTER_MIN_BYTES` goes out as one ``sendmsg`` of the header and
+the payload's buffers (a :class:`~repro.serving.codecs.FrameParts` from
+the binary codec: the caller's coordinate or assignment arrays
+themselves), resuming after any partial send, and comes in through
+``recv_into`` one uninitialised buffer, handed back as a read-only
+``memoryview`` the codec's views then sit on.  Below that size the
+per-buffer bookkeeping costs more than the copy it saves, so small
+frames go out as one coalesced ``sendall`` and come back as ``bytes``.
+
 :class:`WireServer` is the in-process front (accept thread + one handler
 thread per connection, sharing the caller's engine); ``serve_connection``
 is the per-connection loop it shares with the forked workers of
@@ -50,7 +60,7 @@ import logging
 import socket
 import struct
 import threading
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,7 +73,9 @@ from ..exceptions import (
 )
 from .codecs import (
     BinaryCodec,
+    Buffer,
     Codec,
+    FrameParts,
     JsonB64Codec,
     codec_names,
     require_finite_coords,
@@ -84,6 +96,7 @@ __all__ = [
     "FRAME_RESULT",
     "FRAME_ERROR",
     "MAX_FRAME_BYTES",
+    "SCATTER_MIN_BYTES",
     "WIRE_VERSION",
     "DEFAULT_WIRE_PORT",
 ]
@@ -109,6 +122,14 @@ FRAME_ERROR = 4   #: UTF-8 JSON ``{"error": ...}`` payload
 #: must be chunked by the client's batcher.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Payloads this large or larger are written with scatter-gather
+#: ``sendmsg`` and read with ``recv_into``; smaller ones are coalesced
+#: into one ``sendall`` and read as ``bytes``.  A fixed threshold, not a
+#: setting: on a 2-vCPU Linux host a 64-point request (about 1 KiB) sent
+#: as parts cost 6.3 us against 1.8 us coalesced, while a 1.6 MB request
+#: spent more time in its staging copies than in the gather it asks for.
+SCATTER_MIN_BYTES = 64 * 1024
+
 _HEADER = struct.Struct("<IBBH")
 
 _BINARY = BinaryCodec()
@@ -133,39 +154,99 @@ def error_to_exception(error: Dict[str, Any]) -> ReproError:
 # -- framing primitives -------------------------------------------------------
 
 
-def send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:
-    """Write one frame (header + payload) in a single ``sendall``."""
-    if len(payload) > MAX_FRAME_BYTES:
+def _nbytes(buffer: Buffer) -> int:
+    """Byte count of one payload buffer (``len`` of a typed view is not)."""
+    if isinstance(buffer, (np.ndarray, memoryview)):
+        return buffer.nbytes
+    return len(buffer)
+
+
+def send_frame(
+    sock: socket.socket, kind: int, payload: Union[Buffer, FrameParts]
+) -> None:
+    """Write one frame: the header, then the payload's bytes.
+
+    ``payload`` is a bytes-like object, a C-contiguous ndarray or a
+    :class:`~repro.serving.codecs.FrameParts`; its size is its byte
+    count, never the ``len()`` of a typed view.
+    """
+    if isinstance(payload, FrameParts):
+        nbytes, parts = payload.nbytes, payload.parts
+    else:
+        nbytes, parts = _nbytes(payload), (payload,)
+    if nbytes > MAX_FRAME_BYTES:
         raise TransportError(
-            f"frame payload of {len(payload)} bytes exceeds the "
+            f"frame payload of {nbytes} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame limit; split the batch "
             "(ServingClient does this automatically)"
         )
-    header = _HEADER.pack(len(payload), kind, WIRE_VERSION, 0)
-    sock.sendall(header + payload)
+    header = _HEADER.pack(nbytes, kind, WIRE_VERSION, 0)
+    if nbytes < SCATTER_MIN_BYTES:
+        sock.sendall(b"".join((header, *parts)))  # repro: ignore[hot-path-copy] -- small-frame coalesce: below SCATTER_MIN_BYTES one join and one syscall beat per-part bookkeeping
+    else:
+        _send_buffers(sock, [header, *parts])
 
 
-def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
-    """Read exactly ``n`` bytes or raise a truncation :class:`TransportError`."""
-    pieces = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(min(remaining, 1 << 20))
-        except OSError as exc:
-            raise TransportError(f"connection failed reading {what}: {exc}") from exc
-        if not chunk:
-            raise TransportError(
-                f"connection closed mid-frame: {n - remaining} of {n} "
-                f"{what} bytes received (truncated frame)"
-            )
-        pieces.append(chunk)
-        remaining -= len(chunk)
-    return pieces[0] if len(pieces) == 1 else b"".join(pieces)
+def _send_buffers(sock: socket.socket, buffers: List[Buffer]) -> None:
+    """``sendmsg`` every byte of ``buffers``, resuming after partial sends.
+
+    A partial send may stop inside a buffer; the rest of that buffer is
+    resent through a byte view of it, so nothing is copied.
+    """
+    while buffers:
+        sent = sock.sendmsg(buffers)
+        while buffers and sent >= _nbytes(buffers[0]):
+            sent -= _nbytes(buffers[0])
+            del buffers[0]
+        if sent:
+            buffers[0] = memoryview(buffers[0]).cast("B")[sent:]
 
 
-def recv_frame(sock: socket.socket) -> Optional[Tuple[int, bytes]]:
+def _recv_exact(
+    sock: socket.socket, n: int, what: str
+) -> Union[bytes, memoryview]:
+    """Read exactly ``n`` bytes or raise a truncation :class:`TransportError`.
+
+    Below :data:`SCATTER_MIN_BYTES` the bytes come back as ``bytes``;
+    from there on, ``recv_into`` fills one uninitialised buffer, returned
+    as a read-only ``memoryview``.
+    """
+    received = 0
+    try:
+        if n < SCATTER_MIN_BYTES:
+            pieces = []
+            while received < n:
+                chunk = sock.recv(n - received)
+                if not chunk:
+                    raise _truncated(received, n, what)
+                pieces.append(chunk)
+                received += len(chunk)
+            return pieces[0] if len(pieces) == 1 else b"".join(pieces)  # repro: ignore[hot-path-copy] -- small-frame path: below SCATTER_MIN_BYTES a split read is rare and tiny
+        view = memoryview(np.empty(n, dtype=np.uint8))
+        while received < n:
+            got = sock.recv_into(view[received:])
+            if not got:
+                raise _truncated(received, n, what)
+            received += got
+        return view.toreadonly()
+    except OSError as exc:
+        raise TransportError(f"connection failed reading {what}: {exc}") from exc
+
+
+def _truncated(received: int, n: int, what: str) -> TransportError:
+    return TransportError(
+        f"connection closed mid-frame: {received} of {n} "
+        f"{what} bytes received (truncated frame)"
+    )
+
+
+def recv_frame(
+    sock: socket.socket,
+) -> Optional[Tuple[int, Union[bytes, memoryview]]]:
     """Read one frame; ``None`` on clean EOF before any header byte.
+
+    The payload is ``bytes`` below :data:`SCATTER_MIN_BYTES` and a
+    read-only ``memoryview`` from there on (see :func:`_recv_exact`).
 
     Raises :class:`~repro.exceptions.TransportError` for mid-frame EOF
     (truncation) and :class:`~repro.exceptions.ConfigurationError` for a
@@ -206,9 +287,9 @@ def _json_payload(data: Dict[str, Any]) -> bytes:
     return json.dumps(data).encode("utf-8")
 
 
-def _parse_json_frame(payload: bytes) -> Dict[str, Any]:
+def _parse_json_frame(payload: Union[bytes, memoryview]) -> Dict[str, Any]:
     try:
-        data = json.loads(payload)
+        data = json.loads(bytes(payload))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"frame payload is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -283,10 +364,10 @@ def _negotiate(
     )
 
 
-def _handle_locate(sock: socket.socket, engine: Any, codec: Codec, payload: bytes,
-                   binary: bool) -> None:
-    """Decode one dense locate, dispatch it, answer in the same codec."""
-    request = (_BINARY if binary else _JSON_CODEC).decode_request(payload)
+def _handle_locate(sock: socket.socket, engine: Any,
+                   payload: Union[bytes, memoryview]) -> None:
+    """Decode one binary locate, dispatch it, answer a binary result."""
+    request = _BINARY.decode_request(payload)
     require_finite_coords(request)
     version, assignment = engine.locate_batch(
         request.deployment,
@@ -295,16 +376,9 @@ def _handle_locate(sock: socket.socket, engine: Any, codec: Codec, payload: byte
         strict=request.strict,
         version=request.version,
     )
-    if binary:
-        send_frame(
-            sock, FRAME_RESULT, _BINARY.encode_response(request.deployment, version, assignment)
-        )
-    else:
-        send_frame(
-            sock,
-            FRAME_JSON,
-            _JSON_CODEC.encode_response(request.deployment, version, assignment),
-        )
+    send_frame(
+        sock, FRAME_RESULT, _BINARY.encode_response(request.deployment, version, assignment)
+    )
 
 
 _ADMIN_OPS = ("swap-shard", "rollback-shard", "deploy", "rollback")
@@ -417,7 +491,7 @@ def serve_connection(
                         "binary locate frame on a connection that "
                         f"negotiated the {codec.name!r} codec"
                     )
-                _handle_locate(sock, engine, codec, payload, binary=True)
+                _handle_locate(sock, engine, payload)
             elif kind == FRAME_JSON:
                 _handle_control(
                     sock, engine, codec, _parse_json_frame(payload), info
@@ -684,6 +758,8 @@ class WireConnection:
             raise error_to_exception(_parse_json_frame(answer).get("error", {}))
         if kind not in (FRAME_RESULT, FRAME_JSON):
             raise TransportError(f"unexpected answer frame kind {kind}")
+        if codec.json_payload:
+            answer = bytes(answer)  # the JSON codec parses bytes
         return codec.decode_response(answer)
 
     def control(self, data: Dict[str, Any]) -> Dict[str, Any]:

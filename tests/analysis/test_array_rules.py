@@ -91,6 +91,29 @@ def test_hot_path_copy_silent_off_the_hot_paths():
     assert report.clean
 
 
+def test_hot_path_copy_flags_payload_staging_on_wire_modules():
+    config = LintConfig(
+        array_hot_paths=("*/fixtures/wire_staging.py",),
+        wire_paths=("*/fixtures/wire_staging.py",),
+    )
+    report = lint_paths([str(FIXTURES / "wire_staging.py")], config)
+    assert [(f.line, f.rule) for f in report.findings] == [
+        (10, "hot-path-copy"),
+        (11, "hot-path-copy"),
+    ]
+    messages = {f.line: f.message for f in report.findings}
+    assert messages[10].startswith("`+` on a `.pack()`/`.tobytes()` result")
+    assert messages[11].startswith('`b"".join(...)` stages the payload')
+    # coalesced() carries pragmas on both lines; parts() sends parts and
+    # joins only text, so nothing below line 11 is reported.
+    assert report.suppressed == 2
+
+
+def test_payload_staging_is_only_flagged_on_wire_modules():
+    report = lint_array_fixture("wire_staging")
+    assert report.clean
+
+
 # -- dtype-churn -------------------------------------------------------------
 
 

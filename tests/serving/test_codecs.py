@@ -44,7 +44,7 @@ class TestRoundTrips:
         rng = np.random.default_rng(3)
         xs, ys = _weird_floats(rng), _weird_floats(rng)
         decoded = codec.decode_request(
-            codec.encode_request("la", xs, ys, strict=True, version=7)
+            bytes(codec.encode_request("la", xs, ys, strict=True, version=7))
         )
         # tobytes comparison: NaN != NaN, so semantic equality must be
         # checked at the bit level.
@@ -60,7 +60,7 @@ class TestRoundTrips:
     def test_strict_and_version_survive(self, codec, strict, version):
         xs = np.array([0.5]); ys = np.array([0.25])
         decoded = codec.decode_request(
-            codec.encode_request("d", xs, ys, strict=strict, version=version)
+            bytes(codec.encode_request("d", xs, ys, strict=strict, version=version))
         )
         assert decoded.strict is strict
         assert decoded.version == version or (version is None and decoded.version is None)
@@ -69,7 +69,7 @@ class TestRoundTrips:
     def test_response_roundtrip_keeps_off_map_sentinels(self, codec):
         regions = np.array([0, -1, 5, -1, 2**40], dtype=np.int64)
         version, decoded = codec.decode_response(
-            codec.encode_response("la", 3, regions)
+            bytes(codec.encode_response("la", 3, regions))
         )
         assert version == 3
         assert decoded.dtype == np.dtype("<i8")
@@ -78,10 +78,10 @@ class TestRoundTrips:
     @pytest.mark.parametrize("codec", CODEC_INSTANCES, ids=lambda c: c.name)
     def test_empty_batch_roundtrip(self, codec):
         empty = np.empty(0, dtype=float)
-        decoded = codec.decode_request(codec.encode_request("d", empty, empty))
+        decoded = codec.decode_request(bytes(codec.encode_request("d", empty, empty)))
         assert decoded.xs.size == 0 and decoded.ys.size == 0
         version, regions = codec.decode_response(
-            codec.encode_response("d", 1, np.empty(0, dtype=np.int64))
+            bytes(codec.encode_response("d", 1, np.empty(0, dtype=np.int64)))
         )
         assert version == 1 and regions.size == 0
 
@@ -93,7 +93,7 @@ class TestRoundTrips:
             JsonB64Codec().encode_request("la", xs, ys, strict=False, version=2)
         )
         b = BinaryCodec().decode_request(
-            BinaryCodec().encode_request("la", xs, ys, strict=False, version=2)
+            bytes(BinaryCodec().encode_request("la", xs, ys, strict=False, version=2))
         )
         assert a.xs.tobytes() == b.xs.tobytes()
         assert a.ys.tobytes() == b.ys.tobytes()
@@ -156,16 +156,16 @@ class TestBinaryFraming:
 
     def test_truncated_payload_is_a_typed_error(self):
         codec = BinaryCodec()
-        request = codec.encode_request("la", np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        request = bytes(codec.encode_request("la", np.array([1.0, 2.0]), np.array([3.0, 4.0])))
         with pytest.raises(ConfigurationError, match="declares"):
             codec.decode_request(request[:-1])
-        response = codec.encode_response("la", 1, np.array([1, 2], dtype=np.int64))
+        response = bytes(codec.encode_response("la", 1, np.array([1, 2], dtype=np.int64)))
         with pytest.raises(ConfigurationError, match="declares"):
             codec.decode_response(response[:-1])
 
     def test_oversized_payload_is_a_typed_error(self):
         codec = BinaryCodec()
-        request = codec.encode_request("la", np.array([1.0]), np.array([2.0]))
+        request = bytes(codec.encode_request("la", np.array([1.0]), np.array([2.0])))
         with pytest.raises(ConfigurationError, match="declares"):
             codec.decode_request(request + b"\x00" * 8)
 
@@ -174,10 +174,32 @@ class TestBinaryFraming:
         the no-copy contract the wire hot path is built on."""
         codec = BinaryCodec()
         xs = np.arange(64, dtype=float)
-        payload = codec.encode_request("la", xs, xs)
+        payload = bytes(codec.encode_request("la", xs, xs))
         decoded = codec.decode_request(payload)
         assert decoded.xs.base is not None  # frombuffer view, not a copy
         assert not decoded.xs.flags.writeable
+
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [bytes, bytearray, lambda raw: memoryview(bytearray(raw)),
+         lambda raw: np.frombuffer(bytearray(raw), dtype=np.uint8)],
+        ids=["bytes", "bytearray", "memoryview", "uint8-array"],
+    )
+    def test_any_bytes_like_payload_decodes_to_readonly_views(self, wrap):
+        """Writable sources (a ``recv_into`` buffer is one) still decode to
+        read-only views: the locate path can never write through them."""
+        codec = BinaryCodec()
+        xs = np.arange(8, dtype=float)
+        decoded = codec.decode_request(wrap(bytes(codec.encode_request("la", xs, -xs))))
+        version, regions = codec.decode_response(
+            wrap(bytes(codec.encode_response("la", 2, np.arange(8))))
+        )
+        assert decoded.deployment == "la" and version == 2
+        for values in (decoded.xs, decoded.ys, regions):
+            assert values.base is not None
+            assert not values.flags.writeable
+        assert np.array_equal(decoded.ys, -xs) and np.array_equal(regions, np.arange(8))
 
 
 class TestRegistry:
@@ -217,7 +239,7 @@ class TestFiniteGate:
     def test_non_finite_coordinates_are_rejected_server_side(self):
         codec = BinaryCodec()
         decoded = codec.decode_request(
-            codec.encode_request("d", np.array([np.nan]), np.array([1.0]))
+            bytes(codec.encode_request("d", np.array([np.nan]), np.array([1.0])))
         )
         with pytest.raises(ConfigurationError, match="finite"):
             require_finite_coords(decoded)
@@ -225,7 +247,7 @@ class TestFiniteGate:
     def test_finite_coordinates_pass(self):
         codec = BinaryCodec()
         decoded = codec.decode_request(
-            codec.encode_request("d", np.array([1.0]), np.array([2.0]))
+            bytes(codec.encode_request("d", np.array([1.0]), np.array([2.0])))
         )
         require_finite_coords(decoded)  # no raise
 

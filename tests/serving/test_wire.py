@@ -8,6 +8,7 @@ and process-lifecycle parts.
 
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from repro.exceptions import (
 )
 from repro.io.artifacts import save_partition_artifact
 from repro.serving import ServingEngine, WireConnection, WireServer
+from repro.serving.codecs import BinaryCodec, FrameParts
 from repro.serving.wire import (
     FRAME_ERROR,
     FRAME_JSON,
     FRAME_LOCATE,
+    FRAME_RESULT,
     MAX_FRAME_BYTES,
+    SCATTER_MIN_BYTES,
     WIRE_VERSION,
     _HEADER,
     error_to_exception,
@@ -135,6 +139,195 @@ class TestFraming:
         assert _HEADER.pack(1, 2, 1, 0) == struct.pack("<IBBH", 1, 2, 1, 0)
 
 
+class _TrickleSocket:
+    """A socket stand-in whose ``sendmsg`` writes at most ``limits[i]``
+    bytes on call ``i`` (the last limit repeats), like a congested peer."""
+
+    def __init__(self, limits):
+        self.limits = list(limits)
+        self.sent = bytearray()
+        self.sendmsg_calls = 0
+        self.sendall_calls = 0
+
+    def sendmsg(self, buffers):
+        room = self.limits[min(self.sendmsg_calls, len(self.limits) - 1)]
+        self.sendmsg_calls += 1
+        sent = 0
+        for buffer in buffers:
+            data = memoryview(buffer).cast("B")[:room - sent]
+            self.sent += data
+            sent += len(data)
+            if sent == room:
+                break
+        return sent
+
+    def sendall(self, data):
+        self.sendall_calls += 1
+        self.sent += data
+
+
+def _frame_bytes(kind, payload):
+    """The frame the pre-scatter-gather wire wrote: header + joined payload."""
+    body = bytes(payload)
+    return _HEADER.pack(len(body), kind, WIRE_VERSION, 0) + body
+
+
+class TestScatterGather:
+    """Large payloads leave as ``sendmsg`` parts and arrive via ``recv_into``;
+    the bytes on the wire are the historical joined frame either way."""
+
+    def test_partial_sends_resume_mid_part_and_keep_the_frame_intact(self):
+        rng = np.random.default_rng(11)
+        n = 5000  # 80 kB of coordinates: above SCATTER_MIN_BYTES
+        payload = BinaryCodec().encode_request(
+            "la", rng.uniform(size=n), rng.uniform(size=n), strict=True, version=3
+        )
+        assert len(payload) >= SCATTER_MIN_BYTES
+        sock = _TrickleSocket([7, 4093])
+        send_frame(sock, FRAME_LOCATE, payload)
+        # 7 bytes stop inside the header; 4093-byte steps cross every part
+        # boundary (prefix, name, xs, ys) somewhere other than at its edge.
+        assert sock.sendmsg_calls > 4 and sock.sendall_calls == 0
+        assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
+        decoded = BinaryCodec().decode_request(sock.sent[_HEADER.size:])
+        assert decoded.xs.tobytes() == payload.parts[2].tobytes()
+        assert decoded.ys.tobytes() == payload.parts[3].tobytes()
+        assert (decoded.deployment, decoded.strict, decoded.version) == ("la", True, 3)
+
+    def test_small_payloads_go_out_as_one_coalesced_write(self):
+        payload = BinaryCodec().encode_request("la", np.arange(64.0), np.arange(64.0))
+        assert len(payload) < SCATTER_MIN_BYTES
+        sock = _TrickleSocket([7])
+        send_frame(sock, FRAME_LOCATE, payload)
+        assert (sock.sendall_calls, sock.sendmsg_calls) == (1, 0)
+        assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
+
+    def test_peer_closing_mid_payload_is_a_truncation_error_on_recv_into(self):
+        left, right = socket.socketpair()
+        right.settimeout(5.0)
+        n, k = 4 * SCATTER_MIN_BYTES, 3 * SCATTER_MIN_BYTES + 5
+
+        def send_part_then_close():
+            left.sendall(_HEADER.pack(n, FRAME_LOCATE, WIRE_VERSION, 0) + b"\x01" * k)
+            left.close()
+
+        sender = threading.Thread(target=send_part_then_close)
+        sender.start()
+        try:
+            with pytest.raises(
+                TransportError,
+                match=f"{k} of {n} frame payload bytes received \\(truncated frame\\)",
+            ):
+                recv_frame(right)
+        finally:
+            sender.join()
+            right.close()
+
+    def test_oversized_typed_view_is_refused_by_byte_count(self):
+        # 2**23 + 1 int64 elements: len() is far below MAX_FRAME_BYTES, the
+        # byte count is just over it.  np.empty leaves the pages untouched.
+        big = np.empty(MAX_FRAME_BYTES // 8 + 1, dtype=np.int64)
+        assert len(big) < MAX_FRAME_BYTES < big.nbytes
+        sock = _TrickleSocket([4093])
+        with pytest.raises(TransportError, match=f"{big.nbytes} bytes exceeds"):
+            send_frame(sock, FRAME_RESULT, big)
+        with pytest.raises(TransportError, match="frame limit"):
+            send_frame(sock, FRAME_RESULT, FrameParts((b"prefix", big), 6 + big.nbytes))
+        assert not sock.sent
+
+    def test_recv_returns_bytes_below_the_threshold_and_a_readonly_view_above(self):
+        left, right = socket.socketpair()
+        left.settimeout(5.0)
+        right.settimeout(5.0)
+        small = b"s" * (SCATTER_MIN_BYTES - 1)
+        large = bytes(range(256)) * (SCATTER_MIN_BYTES // 256 + 1)
+        sender = threading.Thread(
+            target=lambda: (send_frame(left, FRAME_JSON, small),
+                            send_frame(left, FRAME_LOCATE, large))
+        )
+        sender.start()
+        try:
+            kind, payload = recv_frame(right)
+            assert kind == FRAME_JSON and type(payload) is bytes and payload == small
+            kind, payload = recv_frame(right)
+            assert kind == FRAME_LOCATE and isinstance(payload, memoryview)
+            assert payload.readonly and len(payload) == len(large)
+            assert bytes(payload) == large
+        finally:
+            sender.join()
+            left.close(); right.close()
+
+
+class TestGoldenBytes:
+    """The binary codec's parts join to the historical layout, byte for byte:
+    ``<HBqI`` prefix, name bytes, ``xs.tobytes()``, ``ys.tobytes()``."""
+
+    def test_request_matches_the_hand_built_layout(self):
+        xs = np.linspace(-1.0, 1.0, 20)[::2]           # strided
+        ys = np.arange(10, dtype=">f8") * np.pi         # big-endian
+        ys[3] = np.nan
+        name = "los ángeles"
+        for strict, strict_code in ((None, 0), (True, 1), (False, 2)):
+            for version, version_code in ((None, 0), ("latest", -1), (9, 9)):
+                expected = (
+                    struct.pack("<HBqI", len(name.encode()), strict_code, version_code, 10)
+                    + name.encode("utf-8")
+                    + np.asarray(xs, dtype="<f8").tobytes()
+                    + np.asarray(ys, dtype="<f8").tobytes()
+                )
+                payload = BinaryCodec().encode_request(name, xs, ys, strict, version)
+                assert bytes(payload) == expected
+                assert len(payload) == len(expected)
+
+    def test_response_matches_the_hand_built_layout(self):
+        regions = np.array([4, -1, 0, 2**40, -1], dtype=">i8")
+        expected = struct.pack("<qI", 7, 5) + regions.astype("<i8").tobytes()
+        payload = BinaryCodec().encode_response("la", 7, regions)
+        assert bytes(payload) == expected
+        assert len(payload) == len(expected)
+
+    def test_wire_version_is_unchanged(self):
+        assert WIRE_VERSION == 1
+
+
+class TestReadOnlyOverASocket:
+    """Arrays decoded from a received frame are views the caller cannot
+    write through, on both the ``bytes`` and the ``recv_into`` paths."""
+
+    @pytest.mark.parametrize("n", [64, 20_000])
+    def test_decode_request_views_over_a_socketpair_frame(self, n):
+        left, right = socket.socketpair()
+        left.settimeout(5.0)
+        right.settimeout(5.0)
+        xs = np.arange(n, dtype=float)
+        payload = BinaryCodec().encode_request("la", xs, -xs)
+        sender = threading.Thread(target=send_frame, args=(left, FRAME_LOCATE, payload))
+        sender.start()
+        try:
+            kind, received = recv_frame(right)
+        finally:
+            sender.join()
+            left.close(); right.close()
+        decoded = BinaryCodec().decode_request(received)
+        for values in (decoded.xs, decoded.ys):
+            assert values.base is not None
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        assert np.array_equal(decoded.xs, xs) and np.array_equal(decoded.ys, -xs)
+
+    @pytest.mark.parametrize("n", [64, 20_000])
+    def test_wire_connection_locate_answers_are_readonly_views(self, engine, server, n):
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(-0.1, 1.1, n)
+        ys = rng.uniform(-0.1, 1.1, n)
+        with _connect(server) as conn:
+            version, regions = conn.locate("la", xs, ys)
+        assert regions.base is not None
+        assert not regions.flags.writeable
+        assert np.array_equal(regions, engine.locate_points("la", xs, ys))
+
+
 class TestErrorMapping:
     def test_known_types_map_back_to_themselves(self):
         exc = error_to_exception({"type": "ServingError", "message": "m"})
@@ -215,6 +408,20 @@ class TestLocate:
             version, regions = conn.locate("la", xs, ys)
         assert version == 1
         assert regions.tobytes() == np.asarray(expected, dtype="<i8").tobytes()
+
+    @pytest.mark.parametrize("codecs", [("binary",), ("json+b64",)])
+    def test_large_locate_bit_exact_vs_engine(self, engine, server, codecs):
+        # 50,000 points: request and answer frames both take the
+        # scatter-gather send and recv_into receive path.
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(-0.1, 1.1, 50_000)
+        ys = rng.uniform(-0.1, 1.1, 50_000)
+        expected = engine.locate_points("la", xs, ys)
+        with _connect(server, codecs=codecs) as conn:
+            for _ in range(2):  # the connection stays in step afterwards
+                version, regions = conn.locate("la", xs, ys)
+                assert version == 1
+                assert regions.tobytes() == np.asarray(expected, dtype="<i8").tobytes()
 
     def test_strict_off_map_answers_an_error_and_survives(self, server):
         with _connect(server) as conn:
