@@ -11,7 +11,7 @@ Four rules built on :mod:`repro.analysis.arrays_model`:
     A copy-producing idiom on an array-hot module: ``astype`` without
     ``copy=False``, ``.tolist()``, ``np.append``, concatenation inside a
     loop, a strided slice fed to ``tobytes()``; on the wire modules
-    (``LintConfig.wire_paths``) also ``b"".join(...)`` and ``+`` on a
+    (:data:`WIRE_PATHS`) also ``b"".join(...)`` and ``+`` on a
     ``.pack(...)``/``.tobytes()`` result.
 ``dtype-churn``
     A silent dtype change on an array-hot module: any fallback to
@@ -33,6 +33,7 @@ pragma on the reported line suppresses both, via ``RUNTIME_COUNTERPARTS``.
 from __future__ import annotations
 
 import ast
+from fnmatch import fnmatch
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .arrays_model import (
@@ -279,7 +280,7 @@ class HotPathCopy(Rule):
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         if not module.config.is_array_hot(module.path):
             return
-        if module.config.is_wire(module.path):
+        if _is_wire_module(module.path):
             yield from self._check_staging(module)
         parents = build_parent_map(module.tree)
         for node in ast.walk(module.tree):
@@ -368,6 +369,21 @@ class HotPathCopy(Rule):
                 ):
                     return True
         return False
+
+
+#: Modules that move locate payloads between arrays and sockets.  On
+#: these ``hot-path-copy`` also flags payload staging: ``b"".join(...)``
+#: and ``+`` on a ``.pack(...)``/``.tobytes()`` result, each a fresh
+#: ``bytes`` object the size of the frame.
+WIRE_PATHS: Tuple[str, ...] = (
+    "*/serving/wire.py",
+    "*/serving/codecs.py",
+)
+
+
+def _is_wire_module(path: str) -> bool:
+    posix = path.replace("\\", "/")
+    return any(fnmatch(posix, pattern) for pattern in WIRE_PATHS)
 
 
 #: Methods whose result is a fresh ``bytes`` copy of packed or array data.

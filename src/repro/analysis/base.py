@@ -23,7 +23,6 @@ from .pragmas import PragmaIndex
 
 __all__ = [
     "DEFAULT_ARRAY_HOT_PATHS",
-    "DEFAULT_WIRE_PATHS",
     "LINT_RULES",
     "LintConfig",
     "ModuleContext",
@@ -59,15 +58,6 @@ DEFAULT_ARRAY_HOT_PATHS: Tuple[str, ...] = (
     "*/core/split_engine.py",
 )
 
-#: Modules that move locate payloads between arrays and sockets.  On
-#: these ``hot-path-copy`` also flags payload staging: ``b"".join(...)``
-#: and ``+`` on a ``.pack(...)``/``.tobytes()`` result, each a fresh
-#: ``bytes`` object the size of the frame.
-DEFAULT_WIRE_PATHS: Tuple[str, ...] = (
-    "*/serving/wire.py",
-    "*/serving/codecs.py",
-)
-
 #: Packages whose raised exceptions must descend from ``ReproError``.  The
 #: spatial/experiment layers deliberately raise builtin ``ValueError`` for
 #: argument validation (pinned by their test-suites), so the discipline is
@@ -85,7 +75,6 @@ class LintConfig:
 
     hot_paths: Tuple[str, ...] = DEFAULT_HOT_PATHS
     array_hot_paths: Tuple[str, ...] = DEFAULT_ARRAY_HOT_PATHS
-    wire_paths: Tuple[str, ...] = DEFAULT_WIRE_PATHS
     raise_scope: Tuple[str, ...] = DEFAULT_RAISE_SCOPE
     select: Optional[Tuple[str, ...]] = None
     ignore: Tuple[str, ...] = ()
@@ -112,10 +101,6 @@ class LintConfig:
     def is_array_hot(self, path: str) -> bool:
         posix = path.replace("\\", "/")
         return any(fnmatch(posix, pattern) for pattern in self.array_hot_paths)
-
-    def is_wire(self, path: str) -> bool:
-        posix = path.replace("\\", "/")
-        return any(fnmatch(posix, pattern) for pattern in self.wire_paths)
 
     def in_raise_scope(self, path: str) -> bool:
         posix = path.replace("\\", "/")

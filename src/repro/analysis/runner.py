@@ -17,7 +17,7 @@ from __future__ import annotations
 import ast
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -106,7 +106,14 @@ def _build_rules(config: LintConfig) -> List[Rule]:
         else None
     )
     ignore = _resolve_rule_names(config.ignore, option="--ignore")
-    effective = replace(config, select=select, ignore=ignore)
+    effective = LintConfig(
+        hot_paths=config.hot_paths,
+        array_hot_paths=config.array_hot_paths,
+        raise_scope=config.raise_scope,
+        select=select,
+        ignore=ignore,
+        per_path_ignores=config.per_path_ignores,
+    )
     rules = [
         entry.obj()
         for entry in LINT_RULES.entries()

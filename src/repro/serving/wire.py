@@ -39,7 +39,8 @@ Payloads move without staging copies.  A payload of at least
 :data:`SCATTER_MIN_BYTES` goes out as one ``sendmsg`` of the header and
 the payload's buffers (a :class:`~repro.serving.codecs.FrameParts` from
 the binary codec: the caller's coordinate or assignment arrays
-themselves), resuming after any partial send, and comes in through
+themselves), resuming after any partial send (one ``sendall`` per
+buffer where the platform has no ``sendmsg``), and comes in through
 ``recv_into`` one uninitialised buffer, handed back as a read-only
 ``memoryview`` the codec's views then sit on.  Below that size the
 per-buffer bookkeeping costs more than the copy it saves, so small
@@ -123,7 +124,8 @@ FRAME_ERROR = 4   #: UTF-8 JSON ``{"error": ...}`` payload
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Payloads this large or larger are written with scatter-gather
-#: ``sendmsg`` and read with ``recv_into``; smaller ones are coalesced
+#: ``sendmsg`` (one ``sendall`` per part where the platform has no
+#: ``sendmsg``) and read with ``recv_into``; smaller ones are coalesced
 #: into one ``sendall`` and read as ``bytes``.  A fixed threshold, not a
 #: setting: on a 2-vCPU Linux host a 64-point request (about 1 KiB) sent
 #: as parts cost 6.3 us against 1.8 us coalesced, while a 1.6 MB request
@@ -183,8 +185,11 @@ def send_frame(
     header = _HEADER.pack(nbytes, kind, WIRE_VERSION, 0)
     if nbytes < SCATTER_MIN_BYTES:
         sock.sendall(b"".join((header, *parts)))  # repro: ignore[hot-path-copy] -- small-frame coalesce: below SCATTER_MIN_BYTES one join and one syscall beat per-part bookkeeping
-    else:
+    elif hasattr(sock, "sendmsg"):
         _send_buffers(sock, [header, *parts])
+    else:  # no sendmsg (Windows): one sendall per part, still copy-free
+        for buffer in (header, *parts):
+            sock.sendall(buffer)
 
 
 def _send_buffers(sock: socket.socket, buffers: List[Buffer]) -> None:

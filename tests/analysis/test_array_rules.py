@@ -91,12 +91,12 @@ def test_hot_path_copy_silent_off_the_hot_paths():
     assert report.clean
 
 
+#: Lives under ``serving/wire.py`` so the wire-module patterns match it.
+WIRE_FIXTURE = FIXTURES / "serving" / "wire.py"
+
+
 def test_hot_path_copy_flags_payload_staging_on_wire_modules():
-    config = LintConfig(
-        array_hot_paths=("*/fixtures/wire_staging.py",),
-        wire_paths=("*/fixtures/wire_staging.py",),
-    )
-    report = lint_paths([str(FIXTURES / "wire_staging.py")], config)
+    report = lint_paths([str(WIRE_FIXTURE)])
     assert [(f.line, f.rule) for f in report.findings] == [
         (10, "hot-path-copy"),
         (11, "hot-path-copy"),
@@ -109,8 +109,12 @@ def test_hot_path_copy_flags_payload_staging_on_wire_modules():
     assert report.suppressed == 2
 
 
-def test_payload_staging_is_only_flagged_on_wire_modules():
-    report = lint_array_fixture("wire_staging")
+def test_payload_staging_is_only_flagged_on_wire_modules(tmp_path):
+    # The same source, array-hot but under a name no wire pattern matches.
+    staging = tmp_path / "staging.py"
+    staging.write_text(WIRE_FIXTURE.read_text())
+    config = LintConfig(array_hot_paths=("*/staging.py",))
+    report = lint_paths([str(staging)], config)
     assert report.clean
 
 

@@ -166,6 +166,18 @@ class _TrickleSocket:
         self.sent += data
 
 
+class _SendallOnlySocket:
+    """A socket stand-in without ``sendmsg``, as on Windows."""
+
+    def __init__(self):
+        self.sent = bytearray()
+        self.sendall_calls = 0
+
+    def sendall(self, data):
+        self.sendall_calls += 1
+        self.sent += memoryview(data).cast("B")
+
+
 def _frame_bytes(kind, payload):
     """The frame the pre-scatter-gather wire wrote: header + joined payload."""
     body = bytes(payload)
@@ -200,6 +212,16 @@ class TestScatterGather:
         sock = _TrickleSocket([7])
         send_frame(sock, FRAME_LOCATE, payload)
         assert (sock.sendall_calls, sock.sendmsg_calls) == (1, 0)
+        assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
+
+    def test_without_sendmsg_large_payloads_go_out_one_sendall_per_part(self):
+        rng = np.random.default_rng(12)
+        n = 5000
+        payload = BinaryCodec().encode_request("la", rng.uniform(size=n), rng.uniform(size=n))
+        assert len(payload) >= SCATTER_MIN_BYTES
+        sock = _SendallOnlySocket()
+        send_frame(sock, FRAME_LOCATE, payload)
+        assert sock.sendall_calls == 1 + len(payload.parts)
         assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
 
     def test_peer_closing_mid_payload_is_a_truncation_error_on_recv_into(self):
