@@ -272,7 +272,7 @@ class HotPathCopy(Rule):
     a ``b"".join(...)`` or a ``+`` on a ``.pack(...)``/``.tobytes()``
     result (directly or through a name bound to one in the same
     function) stages the payload in a fresh frame-sized ``bytes`` object
-    the scatter-gather send exists to avoid.  Genuine boundaries (JSON
+    the part-by-part send exists to avoid.  Genuine boundaries (JSON
     encoding, the small-frame coalesce) carry a justified
     ``# repro: ignore[hot-path-copy]`` pragma instead.
     """
@@ -342,15 +342,14 @@ class HotPathCopy(Rule):
                                 child.lineno,
                                 "`+` on a `.pack()`/`.tobytes()` result copies "
                                 "the frame into a fresh bytes object; send the "
-                                "pieces as parts (`FrameParts`, `sendmsg`)",
+                                "pieces as parts (`FrameParts`)",
                             )
             elif _is_bytes_join(node):
                 yield self.finding(
                     module,
                     node.lineno,
                     '`b"".join(...)` stages the payload in a fresh bytes '
-                    "object; send the pieces as parts (`FrameParts`, "
-                    "`sendmsg`)",
+                    "object; send the pieces as parts (`FrameParts`)",
                 )
 
     @staticmethod

@@ -36,11 +36,10 @@ mid-frame raises :class:`~repro.exceptions.TransportError` ("truncated
 frame"); a connection that ends cleanly between frames is just EOF.
 
 Payloads move without staging copies.  A payload of at least
-:data:`SCATTER_MIN_BYTES` goes out as one ``sendmsg`` of the header and
-the payload's buffers (a :class:`~repro.serving.codecs.FrameParts` from
-the binary codec: the caller's coordinate or assignment arrays
-themselves), resuming after any partial send (one ``sendall`` per
-buffer where the platform has no ``sendmsg``), and comes in through
+:data:`SCATTER_MIN_BYTES` goes out as one ``sendall`` of the header and
+then one of each of the payload's buffers (a
+:class:`~repro.serving.codecs.FrameParts` from the binary codec: the
+caller's coordinate or assignment arrays themselves), and comes in through
 ``recv_into`` one uninitialised buffer, handed back as a read-only
 ``memoryview`` the codec's views then sit on.  Below that size the
 per-buffer bookkeeping costs more than the copy it saves, so small
@@ -61,7 +60,7 @@ import logging
 import socket
 import struct
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -123,9 +122,8 @@ FRAME_ERROR = 4   #: UTF-8 JSON ``{"error": ...}`` payload
 #: must be chunked by the client's batcher.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: Payloads this large or larger are written with scatter-gather
-#: ``sendmsg`` (one ``sendall`` per part where the platform has no
-#: ``sendmsg``) and read with ``recv_into``; smaller ones are coalesced
+#: Payloads this large or larger are written part by part, one
+#: ``sendall`` each, and read with ``recv_into``; smaller ones are coalesced
 #: into one ``sendall`` and read as ``bytes``.  A fixed threshold, not a
 #: setting: on a 2-vCPU Linux host a 64-point request (about 1 KiB) sent
 #: as parts cost 6.3 us against 1.8 us coalesced, while a 1.6 MB request
@@ -184,27 +182,12 @@ def send_frame(
         )
     header = _HEADER.pack(nbytes, kind, WIRE_VERSION, 0)
     if nbytes < SCATTER_MIN_BYTES:
-        sock.sendall(b"".join((header, *parts)))  # repro: ignore[hot-path-copy] -- small-frame coalesce: below SCATTER_MIN_BYTES one join and one syscall beat per-part bookkeeping
-    elif hasattr(sock, "sendmsg"):
-        _send_buffers(sock, [header, *parts])
-    else:  # no sendmsg (Windows): one sendall per part, still copy-free
+        sock.sendall(b"".join((header, *parts)))  # repro: ignore[hot-path-copy] -- small-frame coalesce: below SCATTER_MIN_BYTES one join and one syscall beat one syscall per part
+    else:
+        # Not sendmsg: it is missing on Windows, and on Linux it measured
+        # the same as these few sendall calls (TCP_NODELAY is set).
         for buffer in (header, *parts):
             sock.sendall(buffer)
-
-
-def _send_buffers(sock: socket.socket, buffers: List[Buffer]) -> None:
-    """``sendmsg`` every byte of ``buffers``, resuming after partial sends.
-
-    A partial send may stop inside a buffer; the rest of that buffer is
-    resent through a byte view of it, so nothing is copied.
-    """
-    while buffers:
-        sent = sock.sendmsg(buffers)
-        while buffers and sent >= _nbytes(buffers[0]):
-            sent -= _nbytes(buffers[0])
-            del buffers[0]
-        if sent:
-            buffers[0] = memoryview(buffers[0]).cast("B")[sent:]
 
 
 def _recv_exact(

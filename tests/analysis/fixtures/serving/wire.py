@@ -18,5 +18,6 @@ def coalesced(sock, payload):
 
 
 def parts(sock, payload):
-    sock.sendmsg([HEADER.pack(len(payload), 2, 1, 0), payload])
+    for part in (HEADER.pack(len(payload), 2, 1, 0), payload):
+        sock.sendall(part)
     return ", ".join(("text", "only"))

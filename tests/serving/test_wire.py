@@ -139,67 +139,41 @@ class TestFraming:
         assert _HEADER.pack(1, 2, 1, 0) == struct.pack("<IBBH", 1, 2, 1, 0)
 
 
-class _TrickleSocket:
-    """A socket stand-in whose ``sendmsg`` writes at most ``limits[i]``
-    bytes on call ``i`` (the last limit repeats), like a congested peer."""
-
-    def __init__(self, limits):
-        self.limits = list(limits)
-        self.sent = bytearray()
-        self.sendmsg_calls = 0
-        self.sendall_calls = 0
-
-    def sendmsg(self, buffers):
-        room = self.limits[min(self.sendmsg_calls, len(self.limits) - 1)]
-        self.sendmsg_calls += 1
-        sent = 0
-        for buffer in buffers:
-            data = memoryview(buffer).cast("B")[:room - sent]
-            self.sent += data
-            sent += len(data)
-            if sent == room:
-                break
-        return sent
-
-    def sendall(self, data):
-        self.sendall_calls += 1
-        self.sent += data
-
-
-class _SendallOnlySocket:
-    """A socket stand-in without ``sendmsg``, as on Windows."""
+class _RecordingSocket:
+    """A socket stand-in that keeps every buffer handed to ``sendall``."""
 
     def __init__(self):
+        self.buffers = []
         self.sent = bytearray()
-        self.sendall_calls = 0
 
     def sendall(self, data):
-        self.sendall_calls += 1
+        self.buffers.append(data)
         self.sent += memoryview(data).cast("B")
 
 
 def _frame_bytes(kind, payload):
-    """The frame the pre-scatter-gather wire wrote: header + joined payload."""
+    """The frame the wire always wrote: header + joined payload."""
     body = bytes(payload)
     return _HEADER.pack(len(body), kind, WIRE_VERSION, 0) + body
 
 
 class TestScatterGather:
-    """Large payloads leave as ``sendmsg`` parts and arrive via ``recv_into``;
-    the bytes on the wire are the historical joined frame either way."""
+    """Large payloads leave part by part and arrive via ``recv_into``; the
+    bytes on the wire are the historical joined frame either way."""
 
-    def test_partial_sends_resume_mid_part_and_keep_the_frame_intact(self):
+    def test_large_payloads_go_out_one_sendall_per_part_without_copies(self):
         rng = np.random.default_rng(11)
         n = 5000  # 80 kB of coordinates: above SCATTER_MIN_BYTES
         payload = BinaryCodec().encode_request(
             "la", rng.uniform(size=n), rng.uniform(size=n), strict=True, version=3
         )
         assert len(payload) >= SCATTER_MIN_BYTES
-        sock = _TrickleSocket([7, 4093])
+        sock = _RecordingSocket()
         send_frame(sock, FRAME_LOCATE, payload)
-        # 7 bytes stop inside the header; 4093-byte steps cross every part
-        # boundary (prefix, name, xs, ys) somewhere other than at its edge.
-        assert sock.sendmsg_calls > 4 and sock.sendall_calls == 0
+        # The header, then each part as the object the codec returned: the
+        # coordinate arrays reach the socket without a staging copy.
+        assert len(sock.buffers) == 1 + len(payload.parts)
+        assert all(sent is part for sent, part in zip(sock.buffers[1:], payload.parts))
         assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
         decoded = BinaryCodec().decode_request(sock.sent[_HEADER.size:])
         assert decoded.xs.tobytes() == payload.parts[2].tobytes()
@@ -209,19 +183,9 @@ class TestScatterGather:
     def test_small_payloads_go_out_as_one_coalesced_write(self):
         payload = BinaryCodec().encode_request("la", np.arange(64.0), np.arange(64.0))
         assert len(payload) < SCATTER_MIN_BYTES
-        sock = _TrickleSocket([7])
+        sock = _RecordingSocket()
         send_frame(sock, FRAME_LOCATE, payload)
-        assert (sock.sendall_calls, sock.sendmsg_calls) == (1, 0)
-        assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
-
-    def test_without_sendmsg_large_payloads_go_out_one_sendall_per_part(self):
-        rng = np.random.default_rng(12)
-        n = 5000
-        payload = BinaryCodec().encode_request("la", rng.uniform(size=n), rng.uniform(size=n))
-        assert len(payload) >= SCATTER_MIN_BYTES
-        sock = _SendallOnlySocket()
-        send_frame(sock, FRAME_LOCATE, payload)
-        assert sock.sendall_calls == 1 + len(payload.parts)
+        assert len(sock.buffers) == 1
         assert bytes(sock.sent) == _frame_bytes(FRAME_LOCATE, payload)
 
     def test_peer_closing_mid_payload_is_a_truncation_error_on_recv_into(self):
@@ -250,7 +214,7 @@ class TestScatterGather:
         # byte count is just over it.  np.empty leaves the pages untouched.
         big = np.empty(MAX_FRAME_BYTES // 8 + 1, dtype=np.int64)
         assert len(big) < MAX_FRAME_BYTES < big.nbytes
-        sock = _TrickleSocket([4093])
+        sock = _RecordingSocket()
         with pytest.raises(TransportError, match=f"{big.nbytes} bytes exceeds"):
             send_frame(sock, FRAME_RESULT, big)
         with pytest.raises(TransportError, match="frame limit"):
@@ -434,7 +398,7 @@ class TestLocate:
     @pytest.mark.parametrize("codecs", [("binary",), ("json+b64",)])
     def test_large_locate_bit_exact_vs_engine(self, engine, server, codecs):
         # 50,000 points: request and answer frames both take the
-        # scatter-gather send and recv_into receive path.
+        # part-by-part send and recv_into receive path.
         rng = np.random.default_rng(6)
         xs = rng.uniform(-0.1, 1.1, 50_000)
         ys = rng.uniform(-0.1, 1.1, 50_000)
