@@ -41,8 +41,8 @@ then one of each of the payload's buffers (a
 :class:`~repro.serving.codecs.FrameParts` from the binary codec: the
 caller's coordinate or assignment arrays themselves), and comes in through
 ``recv_into`` one uninitialised buffer, handed back as a read-only
-``memoryview`` the codec's views then sit on.  Below that size the
-per-buffer bookkeeping costs more than the copy it saves, so small
+``memoryview`` the codec's views then sit on.  Below that size a call
+per buffer costs more than the copy it saves, so small
 frames go out as one coalesced ``sendall`` and come back as ``bytes``.
 
 :class:`WireServer` is the in-process front (accept thread + one handler
@@ -126,8 +126,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: ``sendall`` each, and read with ``recv_into``; smaller ones are coalesced
 #: into one ``sendall`` and read as ``bytes``.  A fixed threshold, not a
 #: setting: on a 2-vCPU Linux host a 64-point request (about 1 KiB) sent
-#: as parts cost 6.3 us against 1.8 us coalesced, while a 1.6 MB request
-#: spent more time in its staging copies than in the gather it asks for.
+#: as parts in one ``sendmsg`` cost 6.3 us against 1.8 us coalesced,
+#: while a 1.6 MB request spent more time in its staging copies than in
+#: the gather it asks for.
 SCATTER_MIN_BYTES = 64 * 1024
 
 _HEADER = struct.Struct("<IBBH")
