@@ -1,46 +1,31 @@
-"""Benchmark — serving-engine routing overhead and sharded dispatch plans.
+"""Benchmark — serving-engine routing overhead and sharded dispatch.
 
 The engine fronts deployments by *name*; the redesign's contract is that
-this indirection is operationally free.  Three measurements:
+this indirection is operationally free.  Two measurements:
 
 * **Dispatch overhead** — ``ServingEngine.locate_points(name, ...)`` vs a
   direct ``PartitionServer.locate_points`` call on the identical 10^6-point
   batch (10^5 and, with ``REPRO_BENCH_FULL=1``, 10^7 are also reported).
   Asserted: <= 10% overhead at 10^6 points — the engine adds one dict
   lookup and three counters to a multi-millisecond batch.
-* **Sharded dispatch plans** — the same batches through 2x2 and 4x4
-  :class:`~repro.serving.sharding.ShardedDeployment` tilings under each
-  plan: ``sequential`` (the scatter/gather baseline), ``parallel`` (the
-  shared thread pool) and the default ``auto`` dispatch (fused
-  one-take gather at these sizes).  Asserted: the default plan on
-  the 2x2 tiling holds *parity with the monolithic server* at 10^6
-  points (within a small scheduler-noise allowance) — sharding is free
-  until you need it.  All plans are checked bit-equal to the monolithic
-  result.
-* **Large-map crossover** — batch gathers through
-  :func:`~repro.serving.sharding.build_tile_index` vs a flat 2-D fancy
-  gather on synthetic 10^6..10^7-cell grids (10^8 with
-  ``REPRO_BENCH_FULL=1``).  The bucketed kernel pays a fixed sort pass,
-  so small maps favour the flat gather; as the label grid dwarfs the
-  cache the flat gather's random walk slows while the sorted per-tile
-  pattern holds steady, and the relative overhead collapses toward — and
-  past, on TLB-constrained hosts — parity.  Asserted: the overhead at
-  the largest tier is strictly below the smallest tier's.  Each tier is
-  the median over ``CROSSOVER_ALLOCATIONS`` freshly allocated grids: at
-  10^6 cells the overhead of one grid ranges ~90-210% with where its
-  pages land, so a single allocation decides the trend by chance.
+* **Sharded dispatch** — the same batches through 2x2 and 4x4
+  :class:`~repro.serving.sharding.ShardedDeployment` tilings, which
+  answer with one ``take`` from their merged label array.  Asserted: the
+  2x2 tiling holds *parity with the monolithic server* at 10^6 points
+  (within a small noise allowance) — sharding is free until you need
+  it.  Every tiling is checked bit-equal to the monolithic result.
 
-Both tables land in ``routing_dispatch.txt``.  Timings are best of
+Every table lands in ``routing_dispatch.txt``.  Timings are best of
 ``REPEATS``, and every candidate at one batch size is timed in
 *interleaved round-robin* order — one repetition of each candidate per
 round, not one candidate's whole loop after another's — so CPU-frequency
 and scheduler drift over the run hits all candidates alike instead of
-biasing whichever was timed last.  The two engine-overhead gates
-(``overhead_pct``, ``off_overhead_pct``) read the median ratio over
-``OVERHEAD_PAIRS`` back-to-back (direct, engine) pairs instead, so one
-slow or lucky call cannot decide them.  Tables are written only after a
-test's assertions pass, so a red run can never overwrite a committed
-green table.
+biasing whichever was timed last.  The gates (``overhead_pct``,
+``sharded_overhead_pct``, ``off_overhead_pct``) read the median ratio
+over ``OVERHEAD_PAIRS`` back-to-back (direct, candidate) pairs instead,
+so one slow or lucky call cannot decide them.  Tables are written only
+after a test's assertions pass, so a red run can never overwrite a
+committed green table.
 """
 
 import statistics
@@ -56,12 +41,7 @@ from repro.config import DatasetConfig, GridConfig
 from repro.core.fair_kdtree import FairKDTreePartitioner
 from repro.datasets.edgap import load_edgap_city
 from repro.experiments.reporting import format_table
-from repro.serving import (
-    PartitionServer,
-    ServingEngine,
-    ShardedDeployment,
-    build_tile_index,
-)
+from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 
 #: Batch sizes swept by default; REPRO_BENCH_FULL adds the 10^7 tier.
 SIZES = (100_000, 1_000_000)
@@ -73,36 +53,19 @@ REPEATS = 7
 #: Maximum tolerated engine overhead at the 10^6-point tier.
 MAX_OVERHEAD = 0.10
 
-#: Interleaved (direct, engine) pairs behind each engine-overhead gate.
+#: Interleaved (direct, candidate) pairs behind each overhead gate.
 OVERHEAD_PAIRS = 21
 
-#: Noise allowance on the sharded-parity assertion.  The fused plan runs
-#: the monolithic dense server's own kernel (``Grid.cell_ids`` and one
-#: ``take`` from flat labels with a ``-1`` sentinel slot), so its true
-#: overhead is ~0%; but paired best-of timings carry a per-process offset
-#: of up to ~+/-6% (page/THP placement of the per-call temporaries is a
-#: per-interpreter lottery) on top of per-round scheduler noise.  The
-#: assertion's job is to catch *regressions* — auto falling back onto a
-#: scatter plan is a +200% signal — without being a coin flip on busy CI
-#: runners, so it allows parity plus this noise bound.
+#: Noise allowance on the sharded-parity assertion.  A sharded deployment
+#: runs the monolithic dense server's own kernel (``Grid.cell_ids`` and
+#: one ``take`` from flat labels with a ``-1`` sentinel slot), so its true
+#: overhead is ~0%; the allowance covers what is left of per-process and
+#: per-round noise in the paired median.  The assertion's job is to catch
+#: *regressions* — a scatter/gather over tiles is a +200% signal.
 PARALLEL_NOISE = 0.08
 
 #: Shard tilings compared against the monolithic server.
 SHARD_TILINGS = ((2, 2), (4, 4))
-
-#: Synthetic grid sizes (total cells) for the crossover table;
-#: REPRO_BENCH_FULL adds the 10^8-cell tier from the PR's acceptance bar.
-CROSSOVER_CELLS = (1_000_000, 10_000_000)
-FULL_CROSSOVER_CELLS = (1_000_000, 10_000_000, 100_000_000)
-
-#: Queries per crossover measurement.
-CROSSOVER_QUERIES = 1_000_000
-
-#: Fresh label grids (and query sets) per crossover tier; the tier reports
-#: the median over them, each timed as an interleaved best of
-#: ``CROSSOVER_REPEATS``.
-CROSSOVER_ALLOCATIONS = 5
-CROSSOVER_REPEATS = 3
 
 #: Both benchmarks compose one output file; sections render in key order.
 _SECTIONS = {}
@@ -187,7 +150,7 @@ def _paired_overhead(
 @pytest.mark.benchmark(group="serving")
 def test_routing_dispatch_overhead(benchmark, output_dir):
     """Engine name-routing must cost <= 10% over a direct server call, and
-    the default sharded dispatch must not cost anything at all."""
+    sharded dispatch must not cost anything at all."""
     from bench_utils import bench_full
 
     partition = _build_partition()
@@ -203,38 +166,24 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
     sizes = FULL_SIZES if bench_full() else SIZES
     rows = []
     overheads = {}
-    parallel_overheads = {}
-
-    plan_columns = {}
-    for tiling in SHARD_TILINGS:
-        label = f"{tiling[0]}x{tiling[1]}"
-        plan_columns[tiling] = (
-            ("sequential", f"sharded_{label}_ms"),
-            ("parallel", f"sharded_pool_{label}_ms"),
-            ("auto", f"sharded_parallel_{label}_ms"),
-        )
+    sharded_overheads = {}
+    columns = {
+        tiling: f"sharded_{tiling[0]}x{tiling[1]}_ms" for tiling in SHARD_TILINGS
+    }
 
     def run() -> None:
         for size in sizes:
             xs = rng.uniform(bounds.min_x, bounds.max_x, size)
             ys = rng.uniform(bounds.min_y, bounds.max_y, size)
 
-            # The asserted pair (direct vs the 2x2 auto plan) goes first
-            # and adjacent, so within every round the two timings run
-            # back-to-back under the closest possible machine state.
             candidates = {
                 "direct": lambda: server.locate_points(xs, ys),
-                "sharded_parallel_2x2_ms": (
-                    lambda d=sharded[(2, 2)]: d.locate_points(xs, ys, plan="auto")
-                ),
                 "engine": lambda: engine.locate_points("la", xs, ys),
             }
             for tiling, deployment in sharded.items():
-                for plan, column in plan_columns[tiling]:
-                    candidates.setdefault(
-                        column,
-                        lambda d=deployment, p=plan: d.locate_points(xs, ys, plan=p),
-                    )
+                candidates[columns[tiling]] = (
+                    lambda d=deployment: d.locate_points(xs, ys)
+                )
             bests, answers = _best_of_each(candidates)
 
             direct = answers["direct"]
@@ -252,17 +201,16 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
                 "engine_ms": bests["engine"] * 1000.0,
                 "overhead_pct": overhead * 100.0,
             }
-            for tiling in SHARD_TILINGS:
-                for plan, column in plan_columns[tiling]:
-                    assert np.array_equal(direct, answers[column]), (
-                        f"{tiling} sharding ({plan}) changed assignments "
-                        f"at size {size}"
-                    )
-                    row[column] = bests[column] * 1000.0
-            parallel_overheads[size] = (
-                bests["sharded_parallel_2x2_ms"] / bests["direct"] - 1.0
-            )
-            row["parallel_overhead_pct"] = parallel_overheads[size] * 100.0
+            for tiling, column in columns.items():
+                assert np.array_equal(direct, answers[column]), (
+                    f"{tiling} sharding changed assignments at size {size}"
+                )
+                row[column] = bests[column] * 1000.0
+            sharded_overheads[size] = _paired_overhead(
+                lambda: server.locate_points(xs, ys),
+                lambda: sharded[(2, 2)].locate_points(xs, ys),
+            ).overhead
+            row["sharded_overhead_pct"] = sharded_overheads[size] * 100.0
             row["monolithic_mlookups_s"] = size / bests["direct"] / 1e6
             rows.append(row)
 
@@ -274,10 +222,10 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
         f"PartitionServer.locate_points at 10^6 points "
         f"(budget {MAX_OVERHEAD * 100:.0f}%)"
     )
-    parallel_million = parallel_overheads[1_000_000]
-    assert parallel_million <= PARALLEL_NOISE, (
-        f"default sharded 2x2 dispatch costs {parallel_million * 100:.1f}% "
-        "over the monolithic server at 10^6 points; the fused plan must "
+    sharded_million = sharded_overheads[1_000_000]
+    assert sharded_million <= PARALLEL_NOISE, (
+        f"sharded 2x2 dispatch costs {sharded_million * 100:.1f}% over the "
+        "monolithic server at 10^6 points; the merged-label take must "
         f"hold parity (<= {PARALLEL_NOISE * 100:.0f}% noise allowance)"
     )
 
@@ -286,11 +234,10 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
     _SECTIONS["1_dispatch"] = format_table(
         rows,
         title="Serving-engine routing — named dispatch vs direct server, and "
-        "sharded dispatch plans vs monolithic (Fair KD-tree h=8, Los "
-        "Angeles, 64x64 grid, interleaved best of "
-        f"{REPEATS}; overhead_pct = median of {OVERHEAD_PAIRS} interleaved "
-        "direct/engine pair ratios; sharded_parallel_* = default auto "
-        "dispatch)",
+        "sharded dispatch vs monolithic (Fair KD-tree h=8, Los Angeles, "
+        f"64x64 grid, interleaved best of {REPEATS}; overhead_pct and "
+        f"sharded_overhead_pct = median of {OVERHEAD_PAIRS} interleaved "
+        "direct/engine and direct/sharded 2x2 pair ratios)",
     )
     _flush_sections(output_dir)
 
@@ -605,95 +552,5 @@ def test_wire_allocation_budget(benchmark, output_dir):
         title="Wire allocation budget — tracemalloc peak over one 10^5-point "
         "binary WireConnection.locate against an in-process WireServer "
         "(both threads traced), in request-payload (1.6 MB) units",
-    )
-    _flush_sections(output_dir)
-
-
-def _synthetic_labels(side: int, n_regions: int = 4096) -> np.ndarray:
-    """A ``side x side`` int64 label grid, synthesised in row chunks so the
-    10^8-cell tier never materialises a second full-size temporary."""
-    labels = np.empty((side, side), dtype=np.int64)
-    cols = np.arange(side, dtype=np.int64) * 17
-    chunk = max(1, 8_388_608 // side)  # ~64 MB of rows at a time
-    for start in range(0, side, chunk):
-        stop = min(side, start + chunk)
-        block = np.arange(start, stop, dtype=np.int64)[:, None] * 31 + cols
-        labels[start:stop] = block % n_regions
-    return labels
-
-
-@pytest.mark.benchmark(group="serving")
-def test_sharded_crossover_large_maps(benchmark, output_dir):
-    """Where tiling wins: bucketed tile gathers vs a flat 2-D fancy gather
-    as the synthetic label grid grows past cache sizes."""
-    from bench_utils import bench_full
-
-    cells_tiers = FULL_CROSSOVER_CELLS if bench_full() else CROSSOVER_CELLS
-    rng = np.random.default_rng(29)
-    rows_out = []
-
-    def run() -> None:
-        for cells in cells_tiers:
-            side = int(round(cells ** 0.5))
-            samples = []
-            for _ in range(CROSSOVER_ALLOCATIONS):
-                labels = _synthetic_labels(side)
-                rows = rng.integers(0, side, CROSSOVER_QUERIES)
-                cols = rng.integers(0, side, CROSSOVER_QUERIES)
-                indexes = {
-                    tiling: build_tile_index(labels, *tiling)
-                    for tiling in SHARD_TILINGS
-                }
-                candidates = {"mono": lambda: labels[rows, cols]}
-                for tiling, index in indexes.items():
-                    candidates[tiling] = lambda i=index: i.gather(rows, cols)
-                bests, answers = _best_of_each(candidates, CROSSOVER_REPEATS)
-                for tiling in SHARD_TILINGS:
-                    assert np.array_equal(answers["mono"], answers[tiling]), (
-                        f"{tiling} tile gather changed labels at {cells} cells"
-                    )
-                best_tiled = min(bests[tiling] for tiling in SHARD_TILINGS)
-                samples.append({**bests, "ratio": best_tiled / bests["mono"]})
-                del indexes, labels
-
-            def median(key):
-                return statistics.median(sample[key] for sample in samples)
-
-            row = {
-                "cells": side * side,
-                "grid": f"{side}x{side}",
-                "monolithic_ms": median("mono") * 1000.0,
-            }
-            for tiling in SHARD_TILINGS:
-                row[f"tiled_{tiling[0]}x{tiling[1]}_ms"] = median(tiling) * 1000.0
-            row["best_tiled_vs_mono_pct"] = (median("ratio") - 1.0) * 100.0
-            rows_out.append(row)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # The crossover is a trend, not a fixed point: where it lands in
-    # wall-clock depends on the host's TLB reach (hugepage-backed hosts
-    # keep the flat gather cheap far past cache sizes).  Assert the trend
-    # — relative overhead must fall as the map grows — plus a sanity
-    # bound that bucketing never costs more than 4x the flat gather.
-    assert (
-        rows_out[-1]["best_tiled_vs_mono_pct"]
-        < rows_out[0]["best_tiled_vs_mono_pct"]
-    ), "tiled gather overhead did not shrink as the label grid grew"
-    for row in rows_out:
-        assert row["best_tiled_vs_mono_pct"] <= 300.0, (
-            f"tiled gather more than 4x slower at {row['cells']} cells"
-        )
-
-    # Flushed after the assertions for the same reason as the dispatch
-    # table: never replace committed output with a failing run's numbers.
-    _SECTIONS["2_crossover"] = format_table(
-        rows_out,
-        title="Monolithic vs tiled gather crossover — 10^6 random lookups "
-        "on synthetic label grids (best_tiled_vs_mono_pct shrinking "
-        "toward/below zero = the bucketed kernel's fixed sort cost "
-        "amortising away as the map grows; medians over "
-        f"{CROSSOVER_ALLOCATIONS} fresh grids, each an interleaved best of "
-        f"{CROSSOVER_REPEATS})",
     )
     _flush_sections(output_dir)

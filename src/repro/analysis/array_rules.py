@@ -441,7 +441,7 @@ _CONVERTER_FUNCTIONS = ("array", "asarray", "ascontiguousarray", "asfortranarray
     aliases=("array-churn",),
     summary="silent up/downcast (object fallback, narrowing) on a hot module",
     example=(
-        "src/repro/serving/sharding.py:250: [dtype-churn] narrowing cast "
+        "src/repro/spatial/grid.py:192: [dtype-churn] narrowing cast "
         "int64 -> int32 loses range silently; keep int64 or narrow "
         "explicitly at the boundary"
     ),
@@ -534,7 +534,7 @@ class DtypeChurn(Rule):
     aliases=("array-alloc",),
     summary="per-iteration buffer allocation inside a loop on a hot module",
     example=(
-        "src/repro/serving/sharding.py:210: [hot-path-alloc] `np.zeros` "
+        "src/repro/serving/backends.py:146: [hot-path-alloc] `np.zeros` "
         "allocates a fresh buffer every loop iteration; hoist the "
         "allocation out of the loop and reuse it"
     ),

@@ -4,8 +4,8 @@ The static rules of :mod:`repro.analysis.rules` check the serving
 concurrency contracts *lexically* — a write to a ``# guarded-by``
 attribute must sit inside a ``with`` on the declared lock, and the
 ``with``-nesting graph must be acyclic.  That model is deliberately blind
-to locks held across function boundaries (``sharding._republish`` writes
-under a lock its *caller* holds) and to dynamic acquisition orders.  This
+to locks held across function boundaries (``WorkerPool._refresh_exports_locked``
+writes under a lock its *caller* holds) and to dynamic acquisition orders.  This
 module checks the same contracts **at runtime**, on the real test
 workload:
 

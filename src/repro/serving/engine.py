@@ -81,6 +81,10 @@ MANIFEST_FORMAT_VERSION = 2
 #: Manifest formats :meth:`ServingEngine.from_manifest` can restore.
 _SUPPORTED_MANIFEST_FORMATS = (1, 2)
 
+#: Config keys of manifests written before the sharded dispatch knobs were
+#: removed; restoring drops them, while any other unknown key stays an error.
+_LEGACY_CONFIG_KEYS = ("shard_workers", "parallel_threshold")
+
 #: Deployment names the engine refuses, to keep the version-alias grammar
 #: unambiguous.
 _RESERVED_NAMES = (LATEST,)
@@ -907,8 +911,6 @@ class ServingEngine:
                 "cache_entries": self._config.cache_entries,
                 "strict": self._config.strict,
                 "backend": self._config.backend,
-                "shard_workers": self._config.shard_workers,
-                "parallel_threshold": self._config.parallel_threshold,
             },
             "deployments": deployments,
         }
@@ -957,8 +959,13 @@ class ServingEngine:
         try:
             if config is None:
                 stored = payload.get("config")
-                config = ServingConfig(**stored) if isinstance(stored, dict) \
-                    else ServingConfig()
+                if isinstance(stored, dict):
+                    config = ServingConfig(**{
+                        key: value for key, value in stored.items()
+                        if key not in _LEGACY_CONFIG_KEYS
+                    })
+                else:
+                    config = ServingConfig()
             if config_overrides:
                 config = replace(config, **dict(config_overrides))
         except (ConfigurationError, TypeError) as exc:

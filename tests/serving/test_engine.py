@@ -377,6 +377,64 @@ class TestManifest:
         with pytest.raises(GridError):                         # overridden
             restored.locate_points("la", np.array([5.0]), np.array([0.5]))
 
+    def test_manifest_with_legacy_shard_knobs_restores(self, bundles, tmp_path):
+        """Manifests from before the sharded dispatch knobs were removed
+        carry them in ``config``; restoring drops exactly those two keys."""
+        import json
+        from pathlib import Path
+
+        from repro.io.artifacts import bundle_fingerprint
+
+        path = str(Path(bundles["v2"]).resolve())
+        manifest = tmp_path / "legacy.json"
+        manifest.write_text(json.dumps({
+            "format_version": 1,
+            "config": {
+                "cache_entries": 3,
+                "strict": False,
+                "backend": "dense",
+                "shard_workers": 0,
+                "parallel_threshold": 10000,
+            },
+            "deployments": {
+                "tiled": {
+                    "active": 1,
+                    "versions": [{
+                        "version": 1,
+                        "path": path,
+                        "shards": [2, 2],
+                        "fingerprint": list(bundle_fingerprint(path)),
+                        "n_regions": 16,
+                    }],
+                },
+            },
+        }))
+        restored = ServingEngine.from_manifest(manifest)
+        assert restored.cache.max_entries == 3
+        server = restored.server_for("tiled")
+        assert isinstance(server, ShardedDeployment)
+        assert server.shard_versions() == [[1, 1], [1, 1]]
+        rng = np.random.default_rng(17)
+        xs, ys = rng.uniform(-0.1, 1.1, 500), rng.uniform(-0.1, 1.1, 500)
+        expected = PartitionServer(uniform_partition(Grid(8, 8), 4, 4)).locate_points(
+            xs, ys
+        )
+        assert restored.locate_points("tiled", xs, ys).tobytes() == expected.tobytes()
+
+        # Saving again writes only the current config keys.
+        resaved = json.loads(
+            restored.save_manifest(tmp_path / "resaved.json").read_text()
+        )
+        assert sorted(resaved["config"]) == ["backend", "cache_entries", "strict"]
+
+    def test_unknown_manifest_config_key_is_malformed(self, tmp_path):
+        manifest = tmp_path / "deployments.json"
+        manifest.write_text(
+            '{"format_version": 1, "config": {"shard_pool": 4}, "deployments": {}}'
+        )
+        with pytest.raises(ServingError, match="malformed.*bad config"):
+            ServingEngine.from_manifest(manifest)
+
     def test_failed_rollback_leaves_active_version_serving(self, bundles, tmp_path):
         """Rollback validates its target before the swap, like deploy."""
         import shutil
